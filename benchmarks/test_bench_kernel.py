@@ -1,4 +1,4 @@
-"""Microbenchmarks of the phase timing kernel (vector vs scalar).
+"""Microbenchmarks of the phase timing kernel.
 
 Unlike the figure benchmarks, these measure the kernel itself -- one
 phase evaluation at a pinned IPC (a single utilization -> waiting-time
@@ -29,19 +29,13 @@ def world():
     calibration = simulator.calibrate()
     page_map = first_touch_placement(setup.population.sharer_mask,
                                      star.n_sockets, has_pool=True)
-    return star, setup, simulator, calibration, page_map
+    model = PhaseTimingModel(star, simulator.topology, simulator.routes,
+                             setup.population, FixedPointSettings())
+    return model, setup, calibration, page_map
 
 
-def _model(world, kernel: str) -> PhaseTimingModel:
-    star, setup, simulator, _, _ = world
-    return PhaseTimingModel(star, simulator.topology, simulator.routes,
-                            setup.population,
-                            FixedPointSettings(kernel=kernel))
-
-
-def test_bench_single_evaluate_vector(world, benchmark):
-    _, setup, _, calibration, page_map = world
-    model = _model(world, "vector")
+def test_bench_single_evaluate(world, benchmark):
+    model, setup, calibration, page_map = world
     trace = setup.traces[1]
     pinned = setup.population.profile.ipc_16
     timing = benchmark(
@@ -51,31 +45,8 @@ def test_bench_single_evaluate_vector(world, benchmark):
     assert timing.amat_ns > 0
 
 
-def test_bench_single_evaluate_scalar(world, benchmark):
-    _, setup, _, calibration, page_map = world
-    model = _model(world, "scalar")
-    trace = setup.traces[1]
-    pinned = setup.population.profile.ipc_16
-    timing = benchmark(
-        lambda: model.evaluate(trace, page_map, calibration,
-                               fixed_ipc=pinned)
-    )
-    assert timing.amat_ns > 0
-
-
-def test_bench_fixed_point_vector(world, benchmark):
-    _, setup, _, calibration, page_map = world
-    model = _model(world, "vector")
-    trace = setup.traces[1]
-    timing = benchmark(
-        lambda: model.evaluate(trace, page_map, calibration)
-    )
-    assert timing.converged
-
-
-def test_bench_fixed_point_scalar(world, benchmark):
-    _, setup, _, calibration, page_map = world
-    model = _model(world, "scalar")
+def test_bench_fixed_point(world, benchmark):
+    model, setup, calibration, page_map = world
     trace = setup.traces[1]
     timing = benchmark(
         lambda: model.evaluate(trace, page_map, calibration)

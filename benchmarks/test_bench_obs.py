@@ -33,8 +33,7 @@ def world():
     page_map = first_touch_placement(setup.population.sharer_mask,
                                      star.n_sockets, has_pool=True)
     model = PhaseTimingModel(star, simulator.topology, simulator.routes,
-                             setup.population,
-                             FixedPointSettings(kernel="vector"))
+                             setup.population, FixedPointSettings())
     return model, setup.traces[1], page_map, calibration
 
 

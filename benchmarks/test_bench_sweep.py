@@ -1,12 +1,12 @@
 """Sweep-level batching: stacked fixed point vs per-scenario solves.
 
 The figure-8 grid is the motivating sweep: every workload under
-StarNUMA, sharing one lane signature. The sequential reference drives
-each scenario's damped fixed point with the per-scenario vector
-kernel; the batched run stacks the lanes into ``(lanes, width)``
-arrays and drives one masked fixed point. Both sides consume the same
+StarNUMA, sharing one lane signature. The sequential reference solves
+each scenario's phases as one-lane stacks of the same solver; the
+batched run stacks all lanes into ``(lanes, width)`` arrays and drives
+one masked fixed point per phase. Both sides consume the same
 pre-built :class:`~repro.sim.timing.PhaseInputs`, so the pair isolates
-the solve stage -- the part batching accelerates. (End-to-end sweep
+what stacking buys in the solve stage. (End-to-end sweep
 time is dominated by per-phase classification, which is identical on
 both paths; the ``e2e`` pair below records that honestly.)
 
@@ -25,7 +25,7 @@ import pytest
 from repro.config import starnuma_config
 from repro.sim import SimulationSetup, Simulator
 from repro.sim.batch import LaneSpec, plan_groups, run_lanes
-from repro.sim.timing import FixedPointSettings, _BatchedKernel
+from repro.sim.timing import _BatchedKernel
 from repro.workloads import WORKLOADS
 
 N_PHASES = 4
@@ -40,8 +40,7 @@ def build_specs(n_lanes):
     for name, seed in combos[:n_lanes]:
         setup = SimulationSetup.create(WORKLOADS[name], star,
                                        n_phases=N_PHASES, seed=seed)
-        simulator = Simulator(star, setup,
-                              settings=FixedPointSettings(kernel="vector"))
+        simulator = Simulator(star, setup)
         specs.append(LaneSpec(simulator=simulator,
                               calibration=simulator.calibrate(),
                               warmup_phases=1))
@@ -67,38 +66,31 @@ def prepare(specs):
 
 
 def solve_sequential(specs, models, inputs):
-    """Per-scenario vector-kernel fixed points, chaining IPC per lane."""
+    """One-lane solves per lane and phase, chaining IPC per lane."""
+    settings = specs[0].simulator.timing.settings
     out = []
     for i, spec in enumerate(specs):
         previous = None
         for p in range(N_PHASES):
-            model, inp = models[i][p], inputs[i][p]
-            solution = model._fixed_point(
-                inp.trace, inp.classification, inp.loads,
-                inp.stall_per_access, spec.calibration, inp.extra_cpi,
-                previous, (inp.charge, inp.weighted_unloaded),
-            )
+            lane = models[i][p].batched_lane(inputs[i][p], spec.calibration,
+                                             initial_ipc=previous)
+            (solution,) = _BatchedKernel([lane], settings).solve()
             previous = solution[0]
             out.append(solution[:3])
     return out
 
 
 def solve_batched(specs, models, inputs):
-    """One stacked masked fixed point per phase, solver reused across."""
+    """One stacked masked fixed point per phase across all lanes."""
     settings = specs[0].simulator.timing.settings
     out = [[] for _ in specs]
-    solver = None
     previous = [None] * len(specs)
     for p in range(N_PHASES):
         lanes = [models[i][p].batched_lane(inputs[i][p], spec.calibration,
                                            initial_ipc=previous[i])
                  for i, spec in enumerate(specs)]
-        width = max(lane.n_slots for lane in lanes)
-        if solver is not None and width == solver.width:
-            solver.load(lanes)
-        else:
-            solver = _BatchedKernel(lanes, settings)
-        for i, solution in enumerate(solver.solve()):
+        for i, solution in enumerate(_BatchedKernel(lanes,
+                                                    settings).solve()):
             previous[i] = solution[0]
             out[i].append(solution[:3])
     return [item for lane in out for item in lane]
@@ -146,5 +138,5 @@ def test_bench_e2e_sequential(e2e_specs, benchmark):
 
 
 def test_bench_e2e_batched(e2e_specs, benchmark):
-    results = benchmark(lambda: run_lanes(e2e_specs, kernel="batched"))
+    results = benchmark(lambda: run_lanes(e2e_specs))
     assert len(results) == 8

@@ -77,9 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="evaluate up to N compatible sweep points as one "
                           "stacked fixed point (default 1: per-scenario; "
                           "results are bit-identical either way)")
-    run.add_argument("--batch-jobs", type=int, default=1, metavar="N",
-                     help="fill batched lanes with N forked workers over "
-                          "shared memory (default 1: in-process)")
     _add_obs_arguments(run)
 
     export = sub.add_parser("export",
@@ -109,9 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "one stacked fixed point (default 1: "
                              "per-scenario; outputs are byte-identical "
                              "either way)")
-    export.add_argument("--batch-jobs", type=int, default=1, metavar="N",
-                        help="fill batched lanes with N forked workers "
-                             "over shared memory (default 1: in-process)")
     _add_obs_arguments(export)
 
     serve = sub.add_parser(
@@ -406,8 +400,6 @@ def _validate_common(args: argparse.Namespace) -> Optional[str]:
         return f"--jobs must be >= 1 (got {args.jobs})"
     if getattr(args, "batch_lanes", 1) < 1:
         return f"--batch-lanes must be >= 1 (got {args.batch_lanes})"
-    if getattr(args, "batch_jobs", 1) < 1:
-        return f"--batch-jobs must be >= 1 (got {args.batch_jobs})"
     return None
 
 
@@ -437,7 +429,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         warmup_phases=args.warmup,
         workloads=args.workloads,
         batch_lanes=args.batch_lanes,
-        batch_jobs=args.batch_jobs,
     )
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [
         args.experiment
@@ -532,7 +523,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     context = ExperimentContext(
         seed=args.seed, n_phases=args.phases, warmup_phases=args.warmup,
         workloads=args.workloads,
-        batch_lanes=args.batch_lanes, batch_jobs=args.batch_jobs,
+        batch_lanes=args.batch_lanes,
     )
     try:
         written = export_all(

@@ -49,28 +49,21 @@ class ExperimentContext:
     def __init__(self, seed: int = 1, n_phases: int = DEFAULT_PHASES,
                  warmup_phases: int = DEFAULT_WARMUP,
                  workloads: Optional[Sequence[str]] = None,
-                 batch_lanes: int = 1, batch_kernel: str = "batched",
-                 batch_jobs: int = 1):
+                 batch_lanes: int = 1):
         if warmup_phases >= n_phases:
             raise ValueError("warmup must leave measured phases")
         if batch_lanes < 1:
             raise ValueError(f"batch_lanes must be >= 1, got {batch_lanes}")
-        if batch_jobs < 1:
-            raise ValueError(f"batch_jobs must be >= 1, got {batch_jobs}")
         self.seed = seed
         self.n_phases = n_phases
         self.warmup_phases = warmup_phases
-        #: Sweep batching knobs (``--batch-lanes``/``--batch-jobs``):
-        #: with ``batch_lanes`` > 1, :meth:`prefetch` evaluates groups
-        #: of up to that many compatible (system, workload) lanes as one
-        #: stacked fixed point (see :mod:`repro.sim.batch`);
-        #: ``batch_jobs`` > 1 additionally fans the per-lane fill work
-        #: over forked workers through shared memory. Results are
-        #: bit-identical to solo runs, so cached values are
-        #: indistinguishable from :meth:`run`'s.
+        #: Sweep batching (``--batch-lanes``): with ``batch_lanes`` > 1,
+        #: :meth:`prefetch` evaluates groups of up to that many
+        #: compatible (system, workload) lanes as one stacked fixed
+        #: point (see :mod:`repro.sim.batch`). Results are bit-identical
+        #: to one-lane runs, so cached values are indistinguishable from
+        #: :meth:`run`'s.
         self.batch_lanes = batch_lanes
-        self.batch_kernel = batch_kernel
-        self.batch_jobs = batch_jobs
         self._workload_names = list(workloads) if workloads else [
             profile.name for profile in all_workloads()
         ]
@@ -185,13 +178,12 @@ class ExperimentContext:
         :func:`repro.sim.batch.plan_groups` into stacked fixed points
         of up to ``batch_lanes`` lanes. Every cached value is
         bit-identical to what :meth:`run`/:meth:`calibration` would
-        have computed solo, so subsequent lookups -- and everything
+        have computed one lane at a time, so subsequent lookups -- and everything
         exported from them -- are byte-identical. Returns the number of
         lanes evaluated batched (0 when ``batch_lanes`` <= 1).
         """
         if self.batch_lanes <= 1:
             return 0
-        from repro.experiments.lanes import run_lanes_shm
         from repro.metrics.calibration import calibrate_cpi
         from repro.sim.batch import LaneSpec, plan_groups, run_lanes
 
@@ -199,11 +191,7 @@ class ExperimentContext:
             lanes_evaluated = 0
             for group in plan_groups(specs, self.batch_lanes):
                 members = [specs[i] for i in group]
-                if self.batch_jobs > 1:
-                    results = run_lanes_shm(members, self.batch_kernel,
-                                            jobs=self.batch_jobs)
-                else:
-                    results = run_lanes(members, self.batch_kernel)
+                results = run_lanes(members)
                 lanes_evaluated += len(members)
                 yield from zip(members, results)
             # Track batched-lane volume for perf reporting.
@@ -213,9 +201,9 @@ class ExperimentContext:
         suffix = scale * 1000 + phase_multiplier
         evaluated = 0
 
-        # Calibrations first: open-loop lanes on the baseline. The solo
-        # path (Simulator.calibrate -> run) uses run()'s default warmup
-        # of 2, so these lanes must too, for bit-identity.
+        # Calibrations first: open-loop lanes on the baseline.
+        # Simulator.calibrate -> run uses run()'s default warmup of 2,
+        # so these lanes must too, for bit-identity.
         calibration_specs: List[LaneSpec] = []
         seen = set()
         for _system, workload in pairs:

@@ -1,12 +1,10 @@
-"""Sweep-level batched evaluation: many simulations, one fixed point.
+"""Lane groups: many simulations, one fixed point per phase.
 
-A *lane* is one sweep point -- a (system, workload, mode) simulation
-the sweep would otherwise run on its own. This module stacks the
-per-lane byte/capacity/service/charge vectors of every phase into
-``(phases, lanes, width)`` arrays and drives the shared masked fixed
-point of :class:`repro.sim.timing._BatchedKernel`, so a whole sweep
-evaluates phase by phase as a few stacked array contractions instead of
-one full simulation at a time.
+A *lane* is one sweep point -- a (system, workload, mode) simulation.
+:func:`run_lanes` runs Step B for every lane of a group, then evaluates
+the group phase by phase: each phase is one stacked fixed point
+(:func:`repro.sim.timing.evaluate_phases`) across all lanes. A single
+:meth:`repro.sim.engine.Simulator.run` is a one-lane group.
 
 Compatibility: lanes batch together when they share the phase count and
 the fixed-point loop shape (``max_iterations``, ``tolerance``,
@@ -16,45 +14,25 @@ lane's slot vectors are padded to the group width with exact-zero
 contributions, so padding never changes a result. Open-loop
 (calibration) and closed-loop lanes may share a group.
 
-Every lane's numbers are bit-identical to running that lane alone with
-``kernel="vector"`` -- the stacked matrix stage is elementwise and the
-reduction tail reuses the solo loop's float arithmetic -- which is what
-keeps sweep checkpoints and exports byte-identical to sequential runs.
-
-Two entry points:
-
-* :func:`run_lanes` -- in-process: collect every lane's phase inputs,
-  then solve phase by phase.
-* :func:`fill_lane` + :func:`solve_stacks` -- the split form used by
-  the shared-memory fan-out (:mod:`repro.experiments.lanes`): workers
-  fill disjoint lane columns of (typically shared-memory backed)
-  stacks and ship small :class:`LaneMeta` records; the parent solves
-  zero-copy and assembles results without re-touching the models.
+Every lane's numbers are bit-identical whatever other lanes share its
+group -- the stacked matrix stage is elementwise and the reduction is
+per row -- which is what keeps sweep checkpoints and exports
+byte-identical across ``--batch-lanes`` settings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.config import CoreConfig
-from repro.interconnect.loads import TrafficSample
-from repro.interconnect.queueing import mdl_wait_ns
-from repro.metrics.breakdown import AccessBreakdown
 from repro.metrics.calibration import CalibratedCpi
 from repro.obs import OBS
 from repro.placement.pagemap import PageMap
-from repro.sim.engine import Simulator
 from repro.sim.results import PhaseTiming, SimulationResult
-from repro.sim.timing import BatchedLane, FixedPointSettings, _BatchedKernel
+from repro.sim.timing import PhaseRequest, evaluate_phases
 
-#: Kernel names the batched solver accepts.
-BATCH_KERNELS = ("batched", "batched-jit")
-
-#: Names and build order of the stacked arrays, each ``(P, L, W)``.
-STACK_NAMES = ("bytes", "capacity", "service", "charge")
+if TYPE_CHECKING:
+    from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -65,7 +43,7 @@ class LaneSpec:
     ``fixed_ipc`` marks an open-loop (calibration) lane.
     """
 
-    simulator: Simulator
+    simulator: "Simulator"
     mode: str = "dynamic"
     static_map: Optional[PageMap] = None
     calibration: Optional[CalibratedCpi] = None
@@ -97,8 +75,7 @@ def plan_groups(specs: Sequence[LaneSpec],
 
     Lanes with matching :func:`lane_signature` batch together (chunked
     to the requested group size); incompatible lanes land in their own
-    groups and fall back to per-scenario evaluation naturally (a group
-    of one is just the solo vector kernel with extra steps).
+    groups.
     """
     if batch_lanes < 1:
         raise ValueError(f"batch_lanes must be >= 1, got {batch_lanes}")
@@ -118,13 +95,9 @@ def plan_groups(specs: Sequence[LaneSpec],
     return groups
 
 
-def _validate_group(specs: Sequence[LaneSpec], kernel: str) -> None:
+def _validate_group(specs: Sequence[LaneSpec]) -> None:
     if not specs:
         raise ValueError("batched run needs at least one lane")
-    if kernel not in BATCH_KERNELS:
-        raise ValueError(
-            f"kernel must be one of {BATCH_KERNELS}, got {kernel!r}"
-        )
     signature = lane_signature(specs[0])
     for spec in specs[1:]:
         if lane_signature(spec) != signature:
@@ -134,7 +107,7 @@ def _validate_group(specs: Sequence[LaneSpec], kernel: str) -> None:
             )
     for spec in specs:
         if spec.fixed_ipc is None and spec.calibration is None:
-            raise ValueError("closed-loop lane needs a calibration")
+            raise ValueError("closed-loop timing needs a calibration")
         n_phases = len(spec.simulator.setup.traces)
         if spec.warmup_phases >= n_phases:
             raise ValueError(
@@ -143,76 +116,45 @@ def _validate_group(specs: Sequence[LaneSpec], kernel: str) -> None:
             )
 
 
-def run_lanes(specs: Sequence[LaneSpec],
-              kernel: str = "batched") -> List[SimulationResult]:
-    """Evaluate a compatible lane group as one stacked fixed point.
+def run_lanes(specs: Sequence[LaneSpec]) -> List[SimulationResult]:
+    """Evaluate a compatible lane group, one stacked solve per phase.
 
-    Returns one :class:`SimulationResult` per lane, in order,
-    bit-identical to ``spec.simulator.run(...)`` per lane. The group's
-    loop shape comes from the first lane's settings (signatures
-    guarantee they agree); ``kernel`` selects the numpy masked loop or
-    the numba one (which falls back to numpy when numba is absent).
+    Returns one :class:`SimulationResult` per lane, in order. Each lane
+    chains its own IPC from phase to phase; the first ``warmup_phases``
+    phases are simulated (they evolve the page map) but excluded from
+    aggregates.
     """
-    _validate_group(specs, kernel)
-    settings = specs[0].simulator.timing.settings
-    all_checkpoints = []
-    all_inputs = []
-    all_models = []
-    for spec in specs:
-        simulator = spec.simulator
-        checkpoints = simulator.checkpoints(spec.mode, spec.static_map)
-        inputs = []
-        models = []
-        for checkpoint, trace in zip(checkpoints, simulator.setup.traces):
-            model = simulator._phase_timing_model(trace.phase)
-            inputs.append(
-                model.phase_inputs(trace, checkpoint.page_map,
-                                   checkpoint.batch)
-            )
-            models.append(model)
-        all_checkpoints.append(checkpoints)
-        all_inputs.append(inputs)
-        all_models.append(models)
-
+    _validate_group(specs)
+    checkpoints = [spec.simulator.checkpoints(spec.mode, spec.static_map)
+                   for spec in specs]
     n_phases = len(specs[0].simulator.setup.traces)
     previous: List[Optional[float]] = [None] * len(specs)
     timings: List[List[PhaseTiming]] = [[] for _ in specs]
-    jit = kernel == "batched-jit"
-    solver: Optional[_BatchedKernel] = None
-    with OBS.span("sim.batch.run", lanes=len(specs), phases=n_phases,
-                  kernel=kernel):
+    with OBS.span("sim.batch.run", lanes=len(specs), phases=n_phases):
         for p in range(n_phases):
-            lanes = [
-                all_models[i][p].batched_lane(
-                    all_inputs[i][p], spec.calibration,
-                    initial_ipc=previous[i], fixed_ipc=spec.fixed_ipc,
-                )
-                for i, spec in enumerate(specs)
-            ]
-            width = max(lane.n_slots for lane in lanes)
-            if solver is not None and width == solver.width:
-                # Reuse the solver's stacks and scratch across phases;
-                # a fault that changes the link count forces a rebuild.
-                solver.load(lanes)
-            else:
-                solver = _BatchedKernel(lanes, settings)
-            for i, solution in enumerate(solver.solve(jit=jit)):
-                ipc, amat_ns, unloaded_ns, iterations, converged = solution
-                timing = all_models[i][p].finish_phase(
-                    all_inputs[i][p], ipc, amat_ns, unloaded_ns,
-                    iterations, converged,
-                )
+            requests = []
+            for i, spec in enumerate(specs):
+                simulator = spec.simulator
+                trace = simulator.setup.traces[p]
+                checkpoint = checkpoints[i][p]
+                requests.append(PhaseRequest(
+                    simulator._phase_timing_model(trace.phase), trace,
+                    checkpoint.page_map, spec.calibration,
+                    batch=checkpoint.batch, fixed_ipc=spec.fixed_ipc,
+                    initial_ipc=previous[i],
+                ))
+            for i, timing in enumerate(evaluate_phases(requests)):
                 previous[i] = timing.ipc
                 timings[i].append(timing)
 
     return [
-        _assemble_result(spec, all_checkpoints[i], timings[i])
+        _assemble_result(spec, checkpoints[i], timings[i])
         for i, spec in enumerate(specs)
     ]
 
 
 def _migration_totals(checkpoints) -> Tuple[int, int]:
-    """(demand pages, pool pages) migrated -- Simulator.run's aggregation."""
+    """(demand pages, pool pages) migrated over a run's checkpoints."""
     demand_pages = 0
     pool_pages = 0
     for checkpoint in checkpoints:
@@ -238,299 +180,3 @@ def _assemble_result(spec: LaneSpec, checkpoints,
         pages_migrated=demand_pages,
         pages_migrated_to_pool=pool_pages,
     )
-
-
-# -- split form: fill in workers, solve in the parent ------------------------
-
-
-@dataclass
-class LanePhaseMeta:
-    """Scalar state of one (lane, phase) pair for the split solve.
-
-    ``charged_slots`` holds ``(slot, link_id, forward, capacity_gbps,
-    service_ns)`` for every charged slot, in slot order, so the parent
-    can rebuild the hottest-link diagnostics without the topology.
-    """
-
-    phase: int
-    n_slots: int
-    weighted_unloaded: float
-    total: float
-    stall_per_access: float
-    replication_penalty_ns: float
-    extra_cpi: float
-    instructions_per_thread: float
-    total_accesses: float
-    migrated_pages: int
-    migrated_pages_to_pool: int
-    breakdown: AccessBreakdown
-    charged_slots: List[Tuple[int, str, bool, float, float]]
-
-
-@dataclass
-class LaneMeta:
-    """Everything the parent needs to solve and assemble one lane."""
-
-    workload: str
-    config_name: str
-    local_ns: float
-    core: CoreConfig
-    calibration: Optional[CalibratedCpi]
-    fixed_ipc: Optional[float]
-    anchor_ipc: float
-    warmup_phases: int
-    demand_pages: int
-    pool_pages: int
-    phases: List[LanePhaseMeta]
-
-
-def lane_width(specs: Sequence[LaneSpec]) -> int:
-    """Slot-axis width of the group's stacks.
-
-    The clean topology's slot count bounds every fault state's (faults
-    only remove links), so the maximum clean width fits all phases.
-    """
-    return max(
-        spec.simulator.topology.link_index().n_slots for spec in specs
-    )
-
-
-def fill_lane(spec: LaneSpec, lane: int,
-              stacks: Dict[str, np.ndarray]) -> LaneMeta:
-    """Run one lane's Step B + charging, writing its stack columns.
-
-    ``stacks`` maps :data:`STACK_NAMES` to ``(P, L, W)`` arrays
-    (typically shared-memory backed); this writes ``[:, lane, :]`` only,
-    so workers with disjoint lane assignments never race. Returns the
-    lane's :class:`LaneMeta` (small, picklable).
-    """
-    simulator = spec.simulator
-    bytes_m = stacks["bytes"]
-    capacity_m = stacks["capacity"]
-    service_m = stacks["service"]
-    charge_m = stacks["charge"]
-    width = bytes_m.shape[2]
-    checkpoints = simulator.checkpoints(spec.mode, spec.static_map)
-    phases: List[LanePhaseMeta] = []
-    for p, (checkpoint, trace) in enumerate(
-            zip(checkpoints, simulator.setup.traces)):
-        model = simulator._phase_timing_model(trace.phase)
-        inputs = model.phase_inputs(trace, checkpoint.page_map,
-                                    checkpoint.batch)
-        index = model.topology.link_index()
-        s = index.n_slots
-        if s > width:
-            raise ValueError(
-                f"lane {lane} phase {p} needs {s} slots, stacks have "
-                f"{width}"
-            )
-        vec = inputs.loads.bytes_vector
-        bytes_m[p, lane, :s] = vec
-        bytes_m[p, lane, s:] = 0.0
-        capacity_m[p, lane, :s] = index.capacity_gbps
-        capacity_m[p, lane, s:] = 1.0
-        service_m[p, lane, :s] = index.service_ns
-        service_m[p, lane, s:] = 1.0
-        charge_m[p, lane, :s] = inputs.charge
-        charge_m[p, lane, s:] = 0.0
-        charged_slots = []
-        for slot in np.flatnonzero(vec):
-            hop = index.hop_at(int(slot))
-            charged_slots.append((
-                int(slot), hop.link.link_id, hop.forward,
-                hop.link.capacity_gbps, float(index.service_ns[slot]),
-            ))
-        batch = checkpoint.batch
-        phases.append(LanePhaseMeta(
-            phase=trace.phase,
-            n_slots=s,
-            weighted_unloaded=inputs.weighted_unloaded,
-            total=float(inputs.classification.total_accesses),
-            stall_per_access=inputs.stall_per_access,
-            replication_penalty_ns=inputs.replication_penalty_ns,
-            extra_cpi=inputs.extra_cpi,
-            instructions_per_thread=trace.instructions_per_thread,
-            total_accesses=inputs.classification.total_accesses,
-            migrated_pages=batch.n_pages if batch else 0,
-            migrated_pages_to_pool=batch.pages_to_pool if batch else 0,
-            breakdown=model._breakdown(inputs.classification),
-            charged_slots=charged_slots,
-        ))
-    demand_pages, pool_pages = _migration_totals(checkpoints)
-    setup = simulator.setup
-    return LaneMeta(
-        workload=setup.profile.name,
-        config_name=simulator.system.name,
-        local_ns=simulator.system.latency.local_ns,
-        core=simulator.system.core,
-        calibration=spec.calibration,
-        fixed_ipc=spec.fixed_ipc,
-        anchor_ipc=setup.profile.ipc_16,
-        warmup_phases=spec.warmup_phases,
-        demand_pages=demand_pages,
-        pool_pages=pool_pages,
-        phases=phases,
-    )
-
-
-def solve_stacks(metas: Sequence[LaneMeta], stacks: Dict[str, np.ndarray],
-                 settings: FixedPointSettings,
-                 kernel: str = "batched") -> List[SimulationResult]:
-    """Solve pre-filled stacks (the parent side of the split form).
-
-    Reads the stacked arrays zero-copy (phase slices are handed to the
-    solver as-is) and rebuilds per-phase timings purely from
-    :class:`LaneMeta`, so the caller needs no simulator objects --
-    exactly what the shared-memory fan-out wants after its workers
-    exit.
-    """
-    if not metas:
-        return []
-    if kernel not in BATCH_KERNELS:
-        raise ValueError(
-            f"kernel must be one of {BATCH_KERNELS}, got {kernel!r}"
-        )
-    n_phases = len(metas[0].phases)
-    for meta in metas:
-        if len(meta.phases) != n_phases:
-            raise ValueError("lanes disagree on phase count")
-    bytes_m = stacks["bytes"]
-    jit = kernel == "batched-jit"
-    previous: List[Optional[float]] = [None] * len(metas)
-    timings: List[List[PhaseTiming]] = [[] for _ in metas]
-    with OBS.span("sim.batch.solve", lanes=len(metas), phases=n_phases,
-                  kernel=kernel):
-        for p in range(n_phases):
-            lanes = [
-                BatchedLane(
-                    n_slots=meta.phases[p].n_slots,
-                    weighted_unloaded=meta.phases[p].weighted_unloaded,
-                    total=meta.phases[p].total,
-                    stall_per_access=meta.phases[p].stall_per_access,
-                    replication_penalty_ns=(
-                        meta.phases[p].replication_penalty_ns
-                    ),
-                    extra_cpi=meta.phases[p].extra_cpi,
-                    local_ns=meta.local_ns,
-                    instructions_per_thread=(
-                        meta.phases[p].instructions_per_thread
-                    ),
-                    core=meta.core,
-                    calibration=meta.calibration,
-                    initial_ipc=previous[i] or meta.anchor_ipc,
-                    fixed_ipc=meta.fixed_ipc,
-                )
-                for i, meta in enumerate(metas)
-            ]
-            solver = _BatchedKernel(
-                lanes, settings,
-                stacks=(stacks["bytes"][p], stacks["capacity"][p],
-                        stacks["service"][p], stacks["charge"][p]),
-            )
-            for i, solution in enumerate(solver.solve(jit=jit)):
-                ipc, amat_ns, unloaded_ns, iterations, converged = solution
-                timing = _meta_phase_timing(
-                    metas[i], metas[i].phases[p], bytes_m[p, i],
-                    ipc, amat_ns, unloaded_ns, iterations, converged,
-                    settings, kernel,
-                )
-                previous[i] = timing.ipc
-                timings[i].append(timing)
-    return [
-        SimulationResult(
-            workload=meta.workload,
-            config_name=meta.config_name,
-            phases=timings[i][meta.warmup_phases:],
-            pages_migrated=meta.demand_pages,
-            pages_migrated_to_pool=meta.pool_pages,
-        )
-        for i, meta in enumerate(metas)
-    ]
-
-
-def _meta_phase_timing(meta: LaneMeta, phase_meta: LanePhaseMeta,
-                       bytes_row: np.ndarray, ipc: float, amat_ns: float,
-                       unloaded_ns: float, iterations: int,
-                       converged: bool, settings: FixedPointSettings,
-                       kernel: str) -> PhaseTiming:
-    """Rebuild one phase's :class:`PhaseTiming` from metadata alone.
-
-    Replicates the solo tail's arithmetic (duration from the lane's
-    core, hottest-link utilizations from the charged slots) operation
-    for operation, so the values match the in-process path bit for
-    bit.
-    """
-    duration = meta.core.cycles_to_ns(
-        phase_meta.instructions_per_thread / ipc
-    )
-    samples = _busiest_from_meta(phase_meta, bytes_row, duration,
-                                 settings.burstiness, top=3)
-    hottest = {sample.link_id: sample.utilization for sample in samples}
-    if OBS.enabled:
-        OBS.counter("sim.phases")
-        OBS.counter("sim.fixed_point.iterations", iterations)
-        OBS.observe("sim.fixed_point.iterations_per_phase", iterations)
-        OBS.event(
-            "sim.timing", phase=phase_meta.phase, kernel=kernel,
-            ipc=ipc, amat_ns=amat_ns, unloaded_amat_ns=unloaded_ns,
-            duration_ns=duration, iterations=iterations,
-            converged=converged,
-            total_accesses=phase_meta.total_accesses,
-            migrated_pages=phase_meta.migrated_pages,
-        )
-        if samples:
-            OBS.event(
-                "interconnect.utilization", phase=phase_meta.phase,
-                top=[sample.as_attrs() for sample in samples],
-            )
-    return PhaseTiming(
-        phase=phase_meta.phase,
-        ipc=ipc,
-        duration_ns=duration,
-        amat_ns=amat_ns,
-        unloaded_amat_ns=unloaded_ns,
-        breakdown=phase_meta.breakdown,
-        total_accesses=phase_meta.total_accesses,
-        migrated_pages=phase_meta.migrated_pages,
-        migrated_pages_to_pool=phase_meta.migrated_pages_to_pool,
-        migration_stall_ns_per_access=phase_meta.stall_per_access,
-        fixed_point_iterations=iterations,
-        converged=converged,
-        hottest_links=hottest,
-    )
-
-
-def _busiest_from_meta(phase_meta: LanePhaseMeta, bytes_row: np.ndarray,
-                       window_ns: float, burstiness: float,
-                       top: int = 3) -> List[TrafficSample]:
-    """Top utilized link directions from charged-slot metadata.
-
-    Same ranking as :meth:`LinkLoads.busiest` -- utilization
-    ``bytes / (window * capacity)``, stable descending over the charged
-    slots in slot order -- and the same per-sample float expressions.
-    """
-    if not phase_meta.charged_slots:
-        return []
-    slots = np.array([entry[0] for entry in phase_meta.charged_slots],
-                     dtype=np.intp)
-    capacities = np.array(
-        [entry[3] for entry in phase_meta.charged_slots],
-        dtype=np.float64,
-    )
-    utilization = bytes_row[slots] / (window_ns * capacities)
-    order = np.argsort(-utilization, kind="stable")[:top]
-    samples = []
-    for rank in order:
-        slot, link_id, forward, capacity, service = (
-            phase_meta.charged_slots[int(rank)]
-        )
-        offered = float(bytes_row[slot]) / window_ns
-        samples.append(TrafficSample(
-            link_id=link_id,
-            forward=forward,
-            offered_gbps=offered,
-            capacity_gbps=capacity,
-            wait_ns=mdl_wait_ns(offered / capacity, service,
-                                burstiness=burstiness),
-        ))
-    return samples

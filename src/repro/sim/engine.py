@@ -31,7 +31,8 @@ from repro.migration import (
 from repro.obs import OBS
 from repro.placement import PoolCapacityManager, first_touch_placement
 from repro.placement.pagemap import PageMap
-from repro.sim.results import PhaseTiming, SimulationResult
+from repro.sim.batch import LaneSpec, run_lanes
+from repro.sim.results import SimulationResult
 from repro.sim.timing import FixedPointSettings, PhaseTimingModel
 from repro.topology import RouteTable, Topology
 from repro.trace import PhaseTrace, TraceSynthesizer
@@ -369,57 +370,21 @@ class Simulator:
             warmup_phases: int = 2) -> SimulationResult:
         """Run Step C over every checkpoint and aggregate.
 
+        This is a one-lane :func:`~repro.sim.batch.run_lanes`.
         ``fixed_ipc`` runs open-loop at that IPC (the calibration pass);
         otherwise ``calibration`` must be provided for the closed loop.
         The first ``warmup_phases`` phases are simulated (they evolve the
         page map) but excluded from aggregates, standing in for the longer
         pre-steady-state execution of the real runs.
         """
-        if fixed_ipc is None and calibration is None:
-            raise ValueError("closed-loop timing needs a calibration")
-        checkpoints = self.checkpoints(mode, static_map)
-        if warmup_phases >= len(checkpoints):
-            raise ValueError(
-                f"warmup ({warmup_phases}) must leave at least one "
-                f"measured phase of {len(checkpoints)}"
-            )
-
-        timings: List[PhaseTiming] = []
-        previous_ipc: Optional[float] = None
+        spec = LaneSpec(self, mode=mode, static_map=static_map,
+                        calibration=calibration, fixed_ipc=fixed_ipc,
+                        warmup_phases=warmup_phases)
         with OBS.span("sim.run", workload=self.setup.profile.name,
                       config=self.system.name, mode=mode,
-                      phases=len(checkpoints)):
-            for checkpoint, trace in zip(checkpoints, self.setup.traces):
-                timing = self._phase_timing_model(trace.phase).evaluate(
-                    trace,
-                    checkpoint.page_map,
-                    calibration,
-                    batch=checkpoint.batch,
-                    fixed_ipc=fixed_ipc,
-                    initial_ipc=previous_ipc,
-                )
-                previous_ipc = timing.ipc
-                timings.append(timing)
-
-        measured = timings[warmup_phases:]
-        demand_pages = 0
-        pool_pages = 0
-        for checkpoint in checkpoints:
-            if checkpoint.batch is None:
-                continue
-            for move in checkpoint.batch.moves:
-                if move.from_pool:
-                    continue  # victim evictions are not demand migrations
-                demand_pages += move.n_pages
-                if move.to_pool:
-                    pool_pages += move.n_pages
-        return SimulationResult(
-            workload=self.setup.profile.name,
-            config_name=self.system.name,
-            phases=measured,
-            pages_migrated=demand_pages,
-            pages_migrated_to_pool=pool_pages,
-        )
+                      phases=len(self.setup.traces)):
+            (result,) = run_lanes([spec])
+        return result
 
     # -- calibration -----------------------------------------------------------
 

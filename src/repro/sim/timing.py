@@ -15,23 +15,25 @@ For one phase the model:
 The per-access latency of each class is its unloaded latency plus the
 queueing delay accumulated along its route (request and fill directions;
 DRAM queues are shared between directions and counted once).
+
+There is one fixed-point solver, :class:`_BatchedKernel`, which iterates
+a stack of lanes (sweep points) at once; a single phase of a single
+simulation is a one-lane stack (see :func:`evaluate_phases`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from repro.config import CoreConfig, SystemConfig
 from repro.config.parameters import CACHE_BLOCK_BYTES, PAGE_SIZE_BYTES
 from repro.interconnect.loads import MESSAGE_HEADER_BYTES, LinkLoads
-from repro.interconnect.queueing import (
-    MAX_STABLE_UTILIZATION,
-    mdl_wait_ns_array,
-)
+from repro.interconnect.queueing import mdl_wait_ns_array
 from repro.metrics.breakdown import AccessBreakdown
 from repro.metrics.calibration import CalibratedCpi
 from repro.migration.costs import MigrationCostModel
@@ -40,13 +42,8 @@ from repro.migration.records import MigrationBatch
 from repro.sim.classification import PhaseClassification, classify_phase
 from repro.sim.results import PhaseTiming
 from repro.placement.pagemap import PageMap
-from repro.topology.model import (
-    POOL_LOCATION,
-    AccessType,
-    LinkKind,
-    Topology,
-)
-from repro.topology.routing import Route, RouteTable
+from repro.topology.model import POOL_LOCATION, AccessType, Topology
+from repro.topology.routing import RouteTable
 from repro.trace.records import PhaseTrace
 from repro.workloads.population import PagePopulation
 
@@ -72,33 +69,12 @@ class FixedPointSettings:
     #: Arrival-burstiness multiplier fed to the queueing model (defaults
     #: to :data:`repro.interconnect.queueing.DEFAULT_BURSTINESS`).
     burstiness: Optional[float] = None
-    #: Which AMAT evaluation runs inside the fixed point: ``"vector"``
-    #: (array kernel over the route-incidence matrix, the default),
-    #: ``"scalar"`` (the historical per-route Python loop, kept as the
-    #: reference implementation for the equivalence suite),
-    #: ``"batched"`` (the vector kernel per phase, plus eligibility for
-    #: sweep-level lane stacking via :mod:`repro.sim.batch`), or
-    #: ``"batched-jit"`` (same, with a numba-compiled masked inner loop
-    #: that degrades gracefully to the numpy path when numba is absent).
-    kernel: str = "vector"
-
-    #: Kernel names accepted by :attr:`kernel`.
-    KERNELS = ("vector", "scalar", "batched", "batched-jit")
 
     def __post_init__(self) -> None:
         if self.burstiness is None:
             from repro.interconnect.queueing import DEFAULT_BURSTINESS
 
             self.burstiness = DEFAULT_BURSTINESS
-        if self.kernel not in self.KERNELS:
-            raise ValueError(
-                f"kernel must be one of {self.KERNELS}, got {self.kernel!r}"
-            )
-
-    @property
-    def uses_vector_weights(self) -> bool:
-        """Whether per-phase evaluation runs on the array kernel."""
-        return self.kernel != "scalar"
 
 
 class _VectorKernel:
@@ -109,7 +85,7 @@ class _VectorKernel:
     by :meth:`RouteTable.fingerprint`, so fault states whose reroutes
     collapse to identical surviving geometry share one compiled
     incidence (see :func:`_compiled_kernel`). Rows are the access
-    families the scalar kernel iterates:
+    families of the per-route formulation:
 
     * ``demand`` rows, one per (socket, location column) pair;
     * ``bt-socket`` rows, one per (requester, home) pair (the data leg
@@ -117,7 +93,7 @@ class _VectorKernel:
     * ``bt-pool`` rows, one per socket, pre-scaled by the pool
       contention factor.
 
-    ``incidence[r] @ wait_ns_vector`` reproduces the scalar kernel's
+    ``incidence[r] @ wait_ns_vector`` reproduces the per-route
     request+fill queueing sum of family ``r``'s route; the per-phase
     contraction ``counts @ incidence`` collapses all families into one
     charge vector, making each fixed-point iteration a single
@@ -213,12 +189,12 @@ class _VectorKernel:
 
     def charge(self, classification: PhaseClassification,
                loads: LinkLoads) -> None:
-        """Vectorized :meth:`PhaseTimingModel._build_loads` charging.
+        """Charge one phase's access traffic onto ``loads``.
 
         Charges demand, socket-homed block transfers, pool-homed
         transfer legs, and tracker traffic as a handful of
         matrix-vector contractions against the per-slot byte vector --
-        the array equivalent of the scalar kernel's per-route
+        the array equivalent of per-route
         ``add_access_traffic``/``add_transfer_traffic`` loops.
         """
         if not self.has_pool and classification.demand_to_pool() > 0:
@@ -348,104 +324,25 @@ class PhaseTimingModel:
         loop is bypassed -- used for the calibration pass, where the
         baseline runs at its published IPC.
         """
-        obs_span = OBS.span("sim.phase", phase=trace.phase,
-                            kernel=self.settings.kernel,
-                            loop="open" if fixed_ipc is not None
-                            else "closed")
-        with obs_span:
-            classification = classify_phase(trace.counts, page_map,
-                                            self.population,
-                                            self.replication)
-            with OBS.span("sim.charge", phase=trace.phase,
-                          kernel=self.settings.kernel):
-                loads = self._build_loads(classification, batch)
-            stall_total_ns, extra_cpi = self._migration_overheads(trace,
-                                                                  batch)
-            stall_per_access = (
-                stall_total_ns / classification.total_accesses
-                if classification.total_accesses else 0.0
-            )
+        (timing,) = evaluate_phases([PhaseRequest(
+            self, trace, page_map, calibration, batch=batch,
+            fixed_ipc=fixed_ipc, initial_ipc=initial_ipc,
+        )])
+        return timing
 
-            weights = None
-            if self.settings.uses_vector_weights:
-                weights = self._vector_kernel().phase_weights(
-                    classification
-                )
-
-            if fixed_ipc is not None:
-                ipc = fixed_ipc
-                amat_ns, unloaded_ns = self._amat_at(
-                    ipc, trace, classification, loads, stall_per_access,
-                    weights
-                )
-                iterations, converged = 0, True
-            else:
-                ipc, amat_ns, unloaded_ns, iterations, converged = (
-                    self._fixed_point(trace, classification, loads,
-                                      stall_per_access, calibration,
-                                      extra_cpi, initial_ipc, weights)
-                )
-
-            breakdown = self._breakdown(classification)
-            duration = self._duration_ns(ipc, trace)
-            busiest = loads.busiest(duration, top=3)
-            hottest = {
-                sample.link_id: sample.utilization
-                for sample in busiest
-            }
-
-        if OBS.enabled:
-            obs_span.set(ipc=ipc, iterations=iterations,
-                         converged=converged)
-            OBS.counter("sim.phases")
-            OBS.counter("sim.fixed_point.iterations", iterations)
-            OBS.observe("sim.fixed_point.iterations_per_phase",
-                        iterations)
-            OBS.event(
-                "sim.timing", phase=trace.phase,
-                kernel=self.settings.kernel, ipc=ipc, amat_ns=amat_ns,
-                unloaded_amat_ns=unloaded_ns, duration_ns=duration,
-                iterations=iterations, converged=converged,
-                total_accesses=classification.total_accesses,
-                migrated_pages=batch.n_pages if batch else 0,
-            )
-            if busiest:
-                OBS.event(
-                    "interconnect.utilization", phase=trace.phase,
-                    top=[sample.as_attrs() for sample in busiest],
-                )
-        return PhaseTiming(
-            phase=trace.phase,
-            ipc=ipc,
-            duration_ns=duration,
-            amat_ns=amat_ns,
-            unloaded_amat_ns=unloaded_ns,
-            breakdown=breakdown,
-            total_accesses=classification.total_accesses,
-            migrated_pages=batch.n_pages if batch else 0,
-            migrated_pages_to_pool=batch.pages_to_pool if batch else 0,
-            migration_stall_ns_per_access=stall_per_access,
-            fixed_point_iterations=iterations,
-            converged=converged,
-            hottest_links=hottest,
-        )
-
-    # -- batched seam --------------------------------------------------------
+    # -- the stacked-solve seam ------------------------------------------------
 
     def phase_inputs(self, trace: PhaseTrace, page_map: PageMap,
                      batch: Optional[MigrationBatch] = None) -> "PhaseInputs":
         """Collect one phase's IPC-independent state for a stacked solve.
 
         Performs classification, link charging, and the per-phase
-        contractions of :meth:`evaluate` -- everything except the fixed
-        point itself -- with the identical operations, so a batched
-        solve over the result is bit-identical to :meth:`evaluate`.
-        Pairs with :meth:`finish_phase`.
+        contractions -- everything except the fixed point itself.
+        Pairs with :meth:`batched_lane` and :meth:`finish_phase`.
         """
         classification = classify_phase(trace.counts, page_map,
                                         self.population, self.replication)
-        with OBS.span("sim.charge", phase=trace.phase,
-                      kernel=self.settings.kernel):
+        with OBS.span("sim.charge", phase=trace.phase):
             loads = self._build_loads(classification, batch)
         stall_total_ns, extra_cpi = self._migration_overheads(trace, batch)
         stall_per_access = (
@@ -459,6 +356,8 @@ class PhaseTimingModel:
         if (self.replication is not None
                 and classification.replicated_writes
                 and classification.total_accesses):
+            # Software coherence for replicas: every write to a
+            # replicated page pays the invalidation broadcast.
             penalty = (classification.replicated_writes
                        * self.replication.write_penalty_ns
                        ) / classification.total_accesses
@@ -481,6 +380,7 @@ class PhaseTimingModel:
         """Package :meth:`phase_inputs` output as one stacked-solver lane."""
         index = self.topology.link_index()
         return BatchedLane(
+            phase=inputs.trace.phase,
             n_slots=index.n_slots,
             weighted_unloaded=inputs.weighted_unloaded,
             total=float(inputs.classification.total_accesses),
@@ -502,11 +402,10 @@ class PhaseTimingModel:
     def finish_phase(self, inputs: "PhaseInputs", ipc: float,
                      amat_ns: float, unloaded_ns: float,
                      iterations: int, converged: bool) -> PhaseTiming:
-        """Assemble the :class:`PhaseTiming` of a batch-solved phase.
+        """Assemble the :class:`PhaseTiming` of a solved phase.
 
-        Mirrors the tail of :meth:`evaluate` (breakdown, duration,
-        hottest links, obs emission) so batched results are
-        indistinguishable from solo ones.
+        Adds the breakdown, duration, and hottest links, and emits the
+        phase's ``sim.timing`` and ``interconnect.utilization`` events.
         """
         trace = inputs.trace
         classification = inputs.classification
@@ -524,8 +423,7 @@ class PhaseTimingModel:
             OBS.observe("sim.fixed_point.iterations_per_phase",
                         iterations)
             OBS.event(
-                "sim.timing", phase=trace.phase,
-                kernel=self.settings.kernel, ipc=ipc, amat_ns=amat_ns,
+                "sim.timing", phase=trace.phase, ipc=ipc, amat_ns=amat_ns,
                 unloaded_amat_ns=unloaded_ns, duration_ns=duration,
                 iterations=iterations, converged=converged,
                 total_accesses=classification.total_accesses,
@@ -564,65 +462,10 @@ class PhaseTimingModel:
     def _build_loads(self, classification: PhaseClassification,
                      batch: Optional[MigrationBatch]) -> LinkLoads:
         loads = LinkLoads(self.topology, burstiness=self.settings.burstiness)
-        if self.settings.uses_vector_weights:
-            self._vector_kernel().charge(classification, loads)
-        else:
-            self._build_loads_scalar(classification, loads)
+        self._vector_kernel().charge(classification, loads)
         if batch is not None:
             self._charge_migrations(loads, batch)
         return loads
-
-    def _build_loads_scalar(self, classification: PhaseClassification,
-                            loads: LinkLoads) -> None:
-        n_sockets = classification.n_sockets
-
-        for socket in range(n_sockets):
-            for column in range(n_sockets + 1):
-                count = classification.demand[socket, column]
-                if count <= 0:
-                    continue
-                location = self._location_of_column(column)
-                if location == POOL_LOCATION and not self.topology.has_pool:
-                    raise ValueError("pool accesses on a pool-less system")
-                writes = classification.demand_writes[socket, column]
-                loads.add_access_traffic(
-                    self.routes.route(socket, location),
-                    accesses=count,
-                    writeback_fraction=writes / count,
-                )
-
-            # Socket-homed block transfers: the dominant data hop runs
-            # owner -> requester; we charge it along the requester<->home
-            # route as a proxy for the averaged three-leg path.
-            for home in range(n_sockets):
-                count = classification.bt_socket[socket, home]
-                if count <= 0 or home == socket:
-                    continue
-                loads.add_transfer_traffic(
-                    self.routes.route(socket, home)[:-1],  # no DRAM hop
-                    transfers=count,
-                )
-
-        if self.topology.has_pool:
-            for socket in range(n_sockets):
-                down = classification.bt_pool[socket]
-                up = classification.bt_pool_owner[socket]
-                if down <= 0 and up <= 0:
-                    continue
-                cxl = self.routes.route(socket, POOL_LOCATION)[0]
-                # Data to the requester flows pool -> socket (reverse of
-                # the request route); the owner's supply flows socket ->
-                # pool (forward).
-                loads.add(cxl.reversed(), down * (64 + MESSAGE_HEADER_BYTES))
-                loads.add(cxl, up * (64 + MESSAGE_HEADER_BYTES))
-
-            # Tracker-update traffic (StarNUMA's monitoring hardware).
-            for socket in range(n_sockets):
-                issued = float(classification.demand[socket].sum()
-                               + classification.bt_socket[socket].sum()
-                               + classification.bt_pool[socket])
-                dram = self.routes.route(socket, socket)[0]
-                loads.add(dram, issued * TRACKER_BYTES_PER_ACCESS)
 
     def _charge_migrations(self, loads: LinkLoads,
                            batch: MigrationBatch) -> None:
@@ -643,164 +486,6 @@ class PhaseTimingModel:
                 # Source DRAM read of the page being copied.
                 source_dram = self.routes.route(move.source, move.source)[0]
                 loads.add(source_dram, copy_bytes)
-
-    # -- AMAT ----------------------------------------------------------------
-
-    def _route_delay_ns(self, route: Route, loads: LinkLoads,
-                        window_ns: float) -> float:
-        """Request+fill queueing along a route; DRAM queues counted once."""
-        total = 0.0
-        for hop in route:
-            if hop.link.kind is LinkKind.DRAM:
-                total += loads.delay_ns(hop, window_ns)
-            else:
-                total += loads.delay_ns(hop, window_ns)
-                total += loads.delay_ns(hop.reversed(), window_ns)
-        return total
-
-    def _amat_at(self, ipc: float, trace: PhaseTrace,
-                 classification: PhaseClassification, loads: LinkLoads,
-                 stall_per_access: float,
-                 weights: Optional[tuple] = None) -> tuple:
-        """Loaded and unloaded AMAT at one IPC guess (kernel dispatch)."""
-        if weights is not None:
-            return self._amat_at_vector(ipc, trace, classification, loads,
-                                        stall_per_access, weights)
-        return self._amat_at_scalar(ipc, trace, classification, loads,
-                                    stall_per_access)
-
-    def _amat_at_vector(self, ipc: float, trace: PhaseTrace,
-                        classification: PhaseClassification,
-                        loads: LinkLoads, stall_per_access: float,
-                        weights: tuple) -> tuple:
-        """Array kernel: one waiting-time vector, one dot product."""
-        total = classification.total_accesses
-        if total == 0:
-            local = self.system.latency.local_ns
-            return local, local
-        charge, weighted_unloaded = weights
-        window = self._duration_ns(ipc, trace)
-        # Scratch buffers live on ``loads`` and are reused across the
-        # fixed point's iterations; the wait vector is consumed by the
-        # dot product before the next iteration overwrites it.
-        wait = loads.wait_ns_vector(window, reuse_scratch=True)
-        weighted_loaded = weighted_unloaded + float(charge @ wait)
-        amat = weighted_loaded / total + stall_per_access
-        unloaded_amat = weighted_unloaded / total
-        return self._apply_replication_penalty(classification, total,
-                                               amat, unloaded_amat)
-
-    def _amat_at_scalar(self, ipc: float, trace: PhaseTrace,
-                        classification: PhaseClassification,
-                        loads: LinkLoads, stall_per_access: float) -> tuple:
-        window = self._duration_ns(ipc, trace)
-        latency = self.system.latency
-        n_sockets = classification.n_sockets
-
-        weighted_loaded = 0.0
-        weighted_unloaded = 0.0
-
-        for socket in range(n_sockets):
-            for column in range(n_sockets + 1):
-                count = classification.demand[socket, column]
-                if count <= 0:
-                    continue
-                location = self._location_of_column(column)
-                kind = self.topology.classify(socket, location)
-                unloaded = (self.topology.unloaded_latency_ns(kind)
-                            + self.routes.detour_penalty_ns(socket, location))
-                route = self.routes.route(socket, location)
-                loaded = unloaded + self._route_delay_ns(route, loads, window)
-                weighted_loaded += count * loaded
-                weighted_unloaded += count * unloaded
-
-            for home in range(n_sockets):
-                count = classification.bt_socket[socket, home]
-                if count <= 0:
-                    continue
-                unloaded = self.topology.unloaded_latency_ns(
-                    AccessType.BLOCK_TRANSFER_SOCKET
-                )
-                if home == socket:
-                    contention = 0.0
-                else:
-                    contention = self._route_delay_ns(
-                        self.routes.route(socket, home)[:-1], loads, window
-                    )
-                weighted_loaded += count * (unloaded + contention)
-                weighted_unloaded += count * unloaded
-
-            count = classification.bt_pool[socket]
-            if count > 0:
-                unloaded = self.topology.unloaded_latency_ns(
-                    AccessType.BLOCK_TRANSFER_POOL
-                )
-                contention = BT_POOL_CONTENTION_FACTOR * self._route_delay_ns(
-                    self.routes.route(socket, POOL_LOCATION), loads, window
-                )
-                weighted_loaded += count * (unloaded + contention)
-                weighted_unloaded += count * unloaded
-
-        total = classification.total_accesses
-        if total == 0:
-            local = latency.local_ns
-            return local, local
-        amat = weighted_loaded / total + stall_per_access
-        unloaded_amat = weighted_unloaded / total
-        return self._apply_replication_penalty(classification, total,
-                                               amat, unloaded_amat)
-
-    def _apply_replication_penalty(self, classification: PhaseClassification,
-                                   total: float, amat: float,
-                                   unloaded_amat: float) -> tuple:
-        if self.replication is not None and classification.replicated_writes:
-            # Software coherence for replicas: every write to a replicated
-            # page pays the invalidation broadcast.
-            penalty = (classification.replicated_writes
-                       * self.replication.write_penalty_ns) / total
-            amat += penalty
-            unloaded_amat += penalty
-        return amat, unloaded_amat
-
-    def _fixed_point(self, trace: PhaseTrace,
-                     classification: PhaseClassification, loads: LinkLoads,
-                     stall_per_access: float, calibration: CalibratedCpi,
-                     extra_cpi: float,
-                     initial_ipc: Optional[float],
-                     weights: Optional[tuple] = None) -> tuple:
-        settings = self.settings
-        core = self.system.core
-        ipc = initial_ipc or self.population.profile.ipc_16
-        amat_ns = unloaded_ns = 0.0
-        #: Relative-step trajectory, recorded only when obs is armed; the
-        #: iteration itself is byte-identical either way.
-        residuals: Optional[list] = [] if OBS.enabled else None
-        for iteration in range(1, settings.max_iterations + 1):
-            amat_ns, unloaded_ns = self._amat_at(
-                ipc, trace, classification, loads, stall_per_access, weights
-            )
-            target = calibration.ipc(core.ns_to_cycles(amat_ns), extra_cpi)
-            new_ipc = (settings.damping * target
-                       + (1.0 - settings.damping) * ipc)
-            if residuals is not None:
-                residuals.append(abs(new_ipc - ipc) / ipc)
-            if abs(new_ipc - ipc) <= settings.tolerance * ipc:
-                self._emit_fixed_point(trace, iteration, True, residuals)
-                return new_ipc, amat_ns, unloaded_ns, iteration, True
-            ipc = new_ipc
-        self._emit_fixed_point(trace, settings.max_iterations, False,
-                               residuals)
-        return ipc, amat_ns, unloaded_ns, settings.max_iterations, False
-
-    def _emit_fixed_point(self, trace: PhaseTrace, iterations: int,
-                          converged: bool,
-                          residuals: Optional[list]) -> None:
-        """Detail-level provenance of one closed-loop solve."""
-        if residuals is None:
-            return
-        OBS.detail("sim.fixed_point", phase=trace.phase,
-                   kernel=self.settings.kernel, iterations=iterations,
-                   converged=converged, residuals=residuals)
 
     # -- overheads -----------------------------------------------------------
 
@@ -842,17 +527,75 @@ class PhaseTimingModel:
         return breakdown
 
 
-# -- sweep-level batching ----------------------------------------------------
+# -- the stacked solve ---------------------------------------------------------
+
+
+@dataclass
+class PhaseRequest:
+    """One lane's phase for :func:`evaluate_phases`.
+
+    The arguments of :meth:`PhaseTimingModel.evaluate`, plus the model.
+    """
+
+    model: PhaseTimingModel
+    trace: PhaseTrace
+    page_map: PageMap
+    calibration: Optional[CalibratedCpi]
+    batch: Optional[MigrationBatch] = None
+    fixed_ipc: Optional[float] = None
+    initial_ipc: Optional[float] = None
+
+
+def evaluate_phases(requests: Sequence[PhaseRequest]) -> List[PhaseTiming]:
+    """Run Step C for one phase of every lane in a group, in order.
+
+    Each lane is charged (:meth:`PhaseTimingModel.phase_inputs`), all
+    lanes are solved by one stacked fixed point, and each is finished
+    (:meth:`PhaseTimingModel.finish_phase`). The group's loop shape comes
+    from the first lane's settings; lanes must agree on it (see
+    :func:`repro.sim.batch.lane_signature`).
+
+    Every lane gets exactly one ``sim.phase`` span. The spans of a group
+    nest: lane ``k``'s opens just before its own charge, and all of them
+    close after the shared solve and every lane's finish. Each lane's
+    span therefore contains the whole shared solve; for a one-lane group
+    the span is exactly the phase's Step C.
+    """
+    settings = requests[0].model.settings
+    with ExitStack() as stack:
+        spans, inputs, lanes = [], [], []
+        for request in requests:
+            spans.append(stack.enter_context(OBS.span(
+                "sim.phase", phase=request.trace.phase,
+                loop="open" if request.fixed_ipc is not None else "closed",
+            )))
+            phase_inputs = request.model.phase_inputs(
+                request.trace, request.page_map, request.batch
+            )
+            inputs.append(phase_inputs)
+            lanes.append(request.model.batched_lane(
+                phase_inputs, request.calibration,
+                initial_ipc=request.initial_ipc,
+                fixed_ipc=request.fixed_ipc,
+            ))
+        solutions = _BatchedKernel(lanes, settings).solve()
+        timings = []
+        for request, phase_inputs, span, solution in zip(
+                requests, inputs, spans, solutions):
+            timing = request.model.finish_phase(phase_inputs, *solution)
+            span.set(ipc=timing.ipc,
+                     iterations=timing.fixed_point_iterations,
+                     converged=timing.converged)
+            timings.append(timing)
+    return timings
 
 
 @dataclass
 class PhaseInputs:
     """IPC-independent pieces of one phase's Step-C evaluation.
 
-    Produced by :meth:`PhaseTimingModel.phase_inputs` so a sweep batch
-    (:mod:`repro.sim.batch`) can collect every lane's charge state up
-    front and run one stacked fixed point across lanes; consumed by
-    :meth:`PhaseTimingModel.finish_phase` after the solve.
+    Produced by :meth:`PhaseTimingModel.phase_inputs` before the solve;
+    consumed by :meth:`PhaseTimingModel.finish_phase` after it.
     """
 
     trace: PhaseTrace
@@ -873,10 +616,11 @@ class BatchedLane:
     Array fields hold the lane's *unpadded* per-slot vectors (length
     ``n_slots``); the solver pads to the group width with exact-zero
     contributions (bytes/charge 0, capacity/service 1, so utilization
-    and wait are 0 on padded slots). They may be omitted when the
-    caller supplies pre-stacked matrices (the shared-memory path).
+    and wait are 0 on padded slots). ``fixed_ipc`` marks an open-loop
+    (calibration) lane.
     """
 
+    phase: int
     n_slots: int
     weighted_unloaded: float
     total: float
@@ -888,11 +632,11 @@ class BatchedLane:
     core: "CoreConfig"
     calibration: Optional[CalibratedCpi]
     initial_ipc: float
-    fixed_ipc: Optional[float] = None
-    charge: Optional[np.ndarray] = None
-    bytes_vec: Optional[np.ndarray] = None
-    capacity: Optional[np.ndarray] = None
-    service: Optional[np.ndarray] = None
+    fixed_ipc: Optional[float]
+    charge: np.ndarray
+    bytes_vec: np.ndarray
+    capacity: np.ndarray
+    service: np.ndarray
 
 
 class _BatchedKernel:
@@ -903,60 +647,39 @@ class _BatchedKernel:
     :class:`BatchedLane`) and iterates the damped AMAT<->IPC loop over
     all lanes at once: per iteration, one gathered elementwise
     utilization -> waiting-time evaluation over the still-active rows,
-    then a per-lane scalar tail that mirrors the solo loop's float
-    arithmetic operation for operation. Converged lanes are masked out
-    of the next iteration's gather instead of exiting the loop.
+    then a per-lane scalar tail. Converged lanes are masked out of the
+    next iteration's gather instead of exiting the loop.
 
-    Because the matrix stage is elementwise (each row sees exactly the
-    arithmetic the solo vector kernel would run on its own vectors) and
-    the reduction collapses into one batched ``(lanes, 1, width) @
-    (lanes, width, 1)`` matmul whose per-row BLAS kernel matches the
-    solo path's ``charge @ wait`` (per-lane sliced dots when lane
-    widths differ), with Python-float tail updates mirroring
-    :meth:`PhaseTimingModel._fixed_point`, every lane's result is
-    bit-identical to evaluating that lane alone with
-    ``kernel="vector"``.
+    The matrix stage is elementwise (each row sees exactly the
+    arithmetic it would see alone) and the reduction is one batched
+    ``(lanes, 1, width) @ (lanes, width, 1)`` matmul whose per-row BLAS
+    kernel is the same ddot a one-lane stack runs (per-lane sliced dots
+    when lane widths differ). Every lane's result is therefore
+    bit-identical whatever other lanes share the stack -- which keeps
+    sweep checkpoints and exports byte-identical across lane groupings.
     """
 
     def __init__(self, lanes: Sequence[BatchedLane],
-                 settings: FixedPointSettings,
-                 stacks: Optional[tuple] = None):
+                 settings: FixedPointSettings):
         if not lanes:
             raise ValueError("batched kernel needs at least one lane")
         self.lanes = list(lanes)
         self.settings = settings
         n = len(self.lanes)
-        if stacks is not None:
-            self.bytes, self.capacity, self.service, self.charge = stacks
-            if self.bytes.shape[0] != n:
-                raise ValueError(
-                    f"stacks carry {self.bytes.shape[0]} lanes, "
-                    f"expected {n}"
-                )
-            self.width = self.bytes.shape[1]
-        else:
-            self.width = max(lane.n_slots for lane in self.lanes)
-            shape = (n, self.width)
-            self.bytes = np.zeros(shape, dtype=np.float64)
-            self.capacity = np.ones(shape, dtype=np.float64)
-            self.service = np.ones(shape, dtype=np.float64)
-            self.charge = np.zeros(shape, dtype=np.float64)
-            for row, lane in enumerate(self.lanes):
-                if (lane.bytes_vec is None or lane.capacity is None
-                        or lane.service is None or lane.charge is None):
-                    raise ValueError(
-                        "lane arrays required when stacks are not given"
-                    )
-                s = lane.n_slots
-                self.bytes[row, :s] = lane.bytes_vec
-                self.capacity[row, :s] = lane.capacity
-                self.service[row, :s] = lane.service
-                self.charge[row, :s] = lane.charge
-        # Iteration scratch, allocated once per solver and reused by
-        # every iteration's gather/evaluate (satellite of the
-        # allocation-churn fix; see LinkLoads.wait_ns_vector for the
-        # solo-path equivalent).
+        self.width = max(lane.n_slots for lane in self.lanes)
         shape = (n, self.width)
+        self.bytes = np.zeros(shape, dtype=np.float64)
+        self.capacity = np.ones(shape, dtype=np.float64)
+        self.service = np.ones(shape, dtype=np.float64)
+        self.charge = np.zeros(shape, dtype=np.float64)
+        for row, lane in enumerate(self.lanes):
+            s = lane.n_slots
+            self.bytes[row, :s] = lane.bytes_vec
+            self.capacity[row, :s] = lane.capacity
+            self.service[row, :s] = lane.service
+            self.charge[row, :s] = lane.charge
+        # Iteration scratch, allocated once per solver and reused by
+        # every iteration's gather/evaluate.
         self._gather_bytes = np.empty(shape, dtype=np.float64)
         self._gather_cap = np.empty(shape, dtype=np.float64)
         self._gather_service = np.empty(shape, dtype=np.float64)
@@ -972,56 +695,14 @@ class _BatchedKernel:
         self._uniform = all(lane.n_slots == self.width
                             for lane in self.lanes)
 
-    def load(self, lanes: Sequence[BatchedLane]) -> None:
-        """Refill the stacks for a new phase, reusing every buffer.
-
-        The lane count and stack width must match the solver's; the
-        padding is re-zeroed before the per-lane rows are written, so
-        the refilled state is indistinguishable from a fresh solver.
-        """
-        if len(lanes) != len(self.lanes):
-            raise ValueError(
-                f"solver holds {len(self.lanes)} lanes, got {len(lanes)}"
-            )
-        if max(lane.n_slots for lane in lanes) != self.width:
-            raise ValueError("stack width changed; build a new solver")
-        self.lanes = list(lanes)
-        self.bytes[:] = 0.0
-        self.capacity[:] = 1.0
-        self.service[:] = 1.0
-        self.charge[:] = 0.0
-        for row, lane in enumerate(self.lanes):
-            if (lane.bytes_vec is None or lane.capacity is None
-                    or lane.service is None or lane.charge is None):
-                raise ValueError(
-                    "lane arrays required when stacks are not given"
-                )
-            s = lane.n_slots
-            self.bytes[row, :s] = lane.bytes_vec
-            self.capacity[row, :s] = lane.capacity
-            self.service[row, :s] = lane.service
-            self.charge[row, :s] = lane.charge
-        self._last_active = None
-        self._uniform = all(lane.n_slots == self.width
-                            for lane in self.lanes)
-
-    def solve(self, jit: bool = False) -> List[tuple]:
+    def solve(self) -> List[tuple]:
         """Per-lane ``(ipc, amat_ns, unloaded_ns, iterations, converged)``.
 
-        With ``jit`` the numba-compiled inner loop is used when numba
-        is importable; otherwise the numpy masked loop runs and a
-        ``sim.kernel.jit_fallback`` counter records the degradation.
+        With obs armed, each closed-loop lane's relative-step trajectory
+        is recorded and emitted as a detail-level ``sim.fixed_point``
+        record when the lane retires; the iteration itself is
+        byte-identical either way.
         """
-        if jit:
-            compiled = _jit_solver()
-            if compiled is not None:
-                return self._solve_jit(compiled)
-            OBS.counter("sim.kernel.jit_fallback")
-        return self._solve_numpy()
-
-    # -- numpy masked loop -------------------------------------------------
-
-    def _solve_numpy(self) -> List[tuple]:
         lanes = self.lanes
         settings = self.settings
         n = len(lanes)
@@ -1053,8 +734,7 @@ class _BatchedKernel:
         cal_alpha = [lane.calibration.alpha if lane.calibration else 1.0
                      for lane in lanes]
         # The unloaded AMAT never depends on the IPC guess, so its two
-        # float ops (the same two the solo loop performs) hoist out of
-        # the iteration entirely.
+        # float ops hoist out of the iteration entirely.
         unloaded = []
         for i in range(n):
             if total[i] == 0:
@@ -1074,12 +754,17 @@ class _BatchedKernel:
         # When every lane fills the full stack width there is no padding
         # to keep out of the reductions, so all the row dot products
         # collapse into one batched matmul. BLAS evaluates each
-        # (1, width) @ (width, 1) slice with the same ddot kernel the
-        # solo path's ``charge @ wait`` uses, so the results are
-        # bit-identical (mixed-width groups fall back to per-lane sliced
-        # dots, which exclude the padding by construction).
+        # (1, width) @ (width, 1) slice with the same ddot kernel as a
+        # one-lane ``charge @ wait``, so the results are bit-identical
+        # (mixed-width groups fall back to per-lane sliced dots, which
+        # exclude the padding by construction).
         uniform = self._uniform
         matmul = np.matmul
+        #: Per-lane relative-step trajectories, recorded only when obs
+        #: is armed.
+        residuals: Optional[List[list]] = (
+            [[] for _ in lanes] if OBS.enabled else None
+        )
         active = list(range(n))
         iteration = 0
         while active:
@@ -1089,6 +774,8 @@ class _BatchedKernel:
                     amat_ns, unloaded_ns = last[i]
                     results[i] = (ipc[i], amat_ns, unloaded_ns,
                                   settings.max_iterations, False)
+                    self._emit_residuals(i, settings.max_iterations,
+                                           False, residuals)
                 break
             k = len(active)
             windows = self._windows[:k]
@@ -1124,9 +811,12 @@ class _BatchedKernel:
                     + extra[i]
                 )
                 new_ipc = damping * target + undamped * ipc[i]
+                if residuals is not None:
+                    residuals[i].append(abs(new_ipc - ipc[i]) / ipc[i])
                 if abs(new_ipc - ipc[i]) <= tolerance * ipc[i]:
                     results[i] = (new_ipc, amat_ns, unloaded_ns,
                                   iteration, True)
+                    self._emit_residuals(i, iteration, True, residuals)
                 else:
                     ipc[i] = new_ipc
                     still_active.append(i)
@@ -1134,14 +824,24 @@ class _BatchedKernel:
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 
+    def _emit_residuals(self, lane: int, iterations: int,
+                          converged: bool,
+                          residuals: Optional[List[list]]) -> None:
+        """Detail-level provenance of one lane's closed-loop solve."""
+        if residuals is None:
+            return
+        OBS.detail("sim.fixed_point", phase=self.lanes[lane].phase,
+                   iterations=iterations, converged=converged,
+                   residuals=residuals[lane])
+
     def _eval_wait(self, active: List[int], windows: np.ndarray,
                    k: int) -> np.ndarray:
         """Utilization -> wait over the active rows, into scratch.
 
         Row ``r`` of the ``_wait`` scratch holds lane ``active[r]``'s
-        per-slot waiting times; every operation is elementwise and
-        bit-identical to the solo path (window * capacity, bytes over
-        that, then the M/D/1 array expression). Returns the charge rows
+        per-slot waiting times; every operation is elementwise (window *
+        capacity, bytes over that, then the M/D/1 array expression), so
+        a row's values do not depend on the other rows. Returns the charge rows
         in the same order for the caller's batched contraction.
         """
         if k == len(self.lanes):
@@ -1178,143 +878,3 @@ class _BatchedKernel:
             mask=self._mask[:k],
         )
         return charge_rows
-
-    # -- numba-compiled loop -----------------------------------------------
-
-    def _solve_jit(self, compiled: Callable) -> List[tuple]:
-        lanes = self.lanes
-        settings = self.settings
-        n = len(lanes)
-
-        def per_lane(getter: Callable) -> np.ndarray:
-            return np.array([getter(lane) for lane in lanes],
-                            dtype=np.float64)
-
-        open_loop = np.array(
-            [lane.fixed_ipc is not None for lane in lanes], dtype=np.bool_
-        )
-        ipc0 = per_lane(lambda lane: lane.fixed_ipc
-                        if lane.fixed_ipc is not None else lane.initial_ipc)
-        cpi_core = per_lane(lambda lane: lane.calibration.cpi_core
-                            if lane.calibration else 0.0)
-        k_mem = per_lane(lambda lane: lane.calibration.k_mem
-                         if lane.calibration else 0.0)
-        alpha = per_lane(lambda lane: lane.calibration.alpha
-                         if lane.calibration else 1.0)
-        ipc, amat, unloaded, iters, conv = compiled(
-            self.bytes, self.capacity, self.service, self.charge,
-            np.array([lane.n_slots for lane in lanes], dtype=np.int64),
-            per_lane(lambda lane: lane.weighted_unloaded),
-            per_lane(lambda lane: lane.total),
-            per_lane(lambda lane: lane.stall_per_access),
-            per_lane(lambda lane: lane.replication_penalty_ns),
-            per_lane(lambda lane: lane.extra_cpi),
-            per_lane(lambda lane: lane.local_ns),
-            per_lane(lambda lane: lane.instructions_per_thread),
-            per_lane(lambda lane: lane.core.frequency_ghz),
-            cpi_core, k_mem, alpha, ipc0, open_loop,
-            settings.damping, settings.tolerance,
-            settings.max_iterations, float(settings.burstiness),
-            MAX_STABLE_UTILIZATION,
-        )
-        return [
-            (float(ipc[i]), float(amat[i]), float(unloaded[i]),
-             int(iters[i]), bool(conv[i]))
-            for i in range(n)
-        ]
-
-
-def _batched_lanes_loop(bytes_m, capacity_m, service_m, charge_m, n_slots,
-                        weighted_unloaded, total, stall, penalty,
-                        extra_cpi, local_ns, instructions, frequency_ghz,
-                        cpi_core, k_mem, alpha, ipc0, open_loop, damping,
-                        tolerance, max_iterations, burstiness,
-                        max_utilization):
-    """JIT-compilable form of the stacked fixed point (plain loops).
-
-    Mirrors the damped solo iteration per lane: window from IPC,
-    per-slot M/D/1 wait, charge-weighted sum, calibrated-CPI target,
-    damped update, per-lane convergence. Compiled with ``numba.njit``
-    when available; never called otherwise. Summation order differs
-    from the BLAS dot of the numpy path, so results agree to ~1e-12
-    rel rather than bit-for-bit (covered by the 1e-9 equivalence
-    suite).
-    """
-    n = bytes_m.shape[0]
-    ipc = ipc0.copy()
-    amat = np.zeros(n, dtype=np.float64)
-    unloaded = np.zeros(n, dtype=np.float64)
-    iterations = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=np.bool_)
-    base = max_utilization / (2.0 * (1.0 - max_utilization))
-    slope = 1.0 / (2.0 * (1.0 - max_utilization) ** 2)
-    for lane in range(n):
-        iteration = 0
-        while True:
-            iteration += 1
-            window = (instructions[lane] / ipc[lane]) / frequency_ghz[lane]
-            if total[lane] == 0.0:
-                amat_ns = local_ns[lane]
-                unloaded_ns = local_ns[lane]
-            else:
-                queueing_ns = 0.0
-                for s in range(n_slots[lane]):
-                    util = bytes_m[lane, s] / (window * capacity_m[lane, s])
-                    if util <= 0.0:
-                        wait = 0.0
-                    elif util < max_utilization:
-                        wait = (service_m[lane, s] * util
-                                / (2.0 * (1.0 - util)))
-                    else:
-                        wait = service_m[lane, s] * (
-                            base + slope * (util - max_utilization)
-                        )
-                    queueing_ns += charge_m[lane, s] * (burstiness * wait)
-                loaded = weighted_unloaded[lane] + queueing_ns
-                amat_ns = loaded / total[lane] + stall[lane]
-                unloaded_ns = weighted_unloaded[lane] / total[lane]
-                amat_ns += penalty[lane]
-                unloaded_ns += penalty[lane]
-            amat[lane] = amat_ns
-            unloaded[lane] = unloaded_ns
-            if open_loop[lane]:
-                iterations[lane] = 0
-                converged[lane] = True
-                break
-            amat_cycles = amat_ns * frequency_ghz[lane]
-            target = 1.0 / (cpi_core[lane]
-                            + k_mem[lane] * amat_cycles ** alpha[lane]
-                            + extra_cpi[lane])
-            new_ipc = damping * target + (1.0 - damping) * ipc[lane]
-            if abs(new_ipc - ipc[lane]) <= tolerance * ipc[lane]:
-                ipc[lane] = new_ipc
-                iterations[lane] = iteration
-                converged[lane] = True
-                break
-            ipc[lane] = new_ipc
-            if iteration >= max_iterations:
-                iterations[lane] = max_iterations
-                converged[lane] = False
-                break
-    return ipc, amat, unloaded, iterations, converged
-
-
-#: Lazily numba-compiled :func:`_batched_lanes_loop`; ``None`` until the
-#: first ``kernel="batched-jit"`` solve, and permanently unavailable
-#: (numpy fallback) when numba cannot be imported.
-_JIT_SOLVER: Optional[Callable] = None
-_JIT_UNAVAILABLE = False
-
-
-def _jit_solver() -> Optional[Callable]:
-    global _JIT_SOLVER, _JIT_UNAVAILABLE
-    if _JIT_UNAVAILABLE:
-        return None
-    if _JIT_SOLVER is None:
-        try:
-            import numba
-        except ImportError:
-            _JIT_UNAVAILABLE = True
-            return None
-        _JIT_SOLVER = numba.njit(cache=False)(_batched_lanes_loop)
-    return _JIT_SOLVER

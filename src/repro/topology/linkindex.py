@@ -131,7 +131,7 @@ class LinkIndex:
                       weight: float = 1.0) -> np.ndarray:
         """Dense incidence row of one route's round-trip delay.
 
-        ``row @ wait_ns_vector`` equals the scalar kernel's
+        ``row @ wait_ns_vector`` equals the per-hop
         request+fill queueing sum along the route (DRAM counted once),
         scaled by ``weight``.
         """

@@ -126,11 +126,13 @@ class TestValidation:
         assert main(["run", "fig8", "--batch-lanes", "0"]) == 2
         assert "--batch-lanes" in capsys.readouterr().err
 
-    def test_batch_jobs_must_be_positive(self, capsys, tmp_path):
-        code = main(["export", "--out", str(tmp_path),
-                     "--batch-jobs", "-1"])
-        assert code == 2
-        assert "--batch-jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["run fig8", "export"])
+    def test_batch_jobs_is_an_unknown_argument(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--batch-jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch-jobs" \
+            in capsys.readouterr().err
 
 
 class TestRunResume:

@@ -27,7 +27,7 @@ class TestSimWiring:
         names = {span["name"] for span in spans}
         assert {"sim.run", "sim.phase", "sim.charge"} <= names
         phase_span = next(s for s in spans if s["name"] == "sim.phase")
-        assert {"phase", "kernel", "loop", "ipc", "iterations",
+        assert {"phase", "loop", "ipc", "iterations",
                 "converged"} <= set(phase_span["attrs"])
 
         timing = [r for r in records
@@ -65,6 +65,38 @@ class TestSimWiring:
         residuals = fixed_point[0]["attrs"]["residuals"]
         assert len(residuals) == fixed_point[0]["attrs"]["iterations"]
         assert all(value >= 0 for value in residuals)
+
+    def test_batched_lanes_emit_the_same_phase_records(self):
+        """A --batch-lanes sweep shows the same per-phase timeline."""
+
+        def phase_records(batch_lanes):
+            context = ExperimentContext(seed=2, n_phases=4, warmup_phases=1,
+                                        workloads=("poa",),
+                                        batch_lanes=batch_lanes)
+            records = []
+            OBS.configure(MemorySink(records), level="detail")
+            fig08.run(context)
+            shutdown()
+            spans = sorted(
+                tuple(span["attrs"][key] for key in
+                      ("phase", "loop", "ipc", "iterations", "converged"))
+                for span in records
+                if span["kind"] == "span" and span["name"] == "sim.phase"
+            )
+            residuals = sorted(
+                (event["attrs"]["phase"], len(event["attrs"]["residuals"]))
+                for event in records if event.get("name") == "sim.fixed_point"
+            )
+            return spans, residuals
+
+        solo_spans, solo_residuals = phase_records(1)
+        batched_spans, batched_residuals = phase_records(4)
+        # Calibration plus three systems, four phases each; the three
+        # closed-loop runs record a residual trajectory per phase.
+        assert len(solo_spans) == 16
+        assert len(solo_residuals) == 12
+        assert batched_spans == solo_spans
+        assert batched_residuals == solo_residuals
 
 
 class TestMigrationWiring:

@@ -1,30 +1,23 @@
-"""Sweep-level batched evaluation: golden equivalence and lane mechanics.
+"""Lane groups: golden equivalence and lane mechanics.
 
-The batched kernel must be indistinguishable from the per-scenario
-kernels: within 1e-9 rel of the scalar reference on every workload and
-system (and under faults), and *bit-identical* to the solo vector
-kernel whatever mix of lanes shares the stack -- that bit-identity is
-what keeps sweep checkpoints and exports byte-identical.
+The stacked fixed point must be indistinguishable from the scalar
+reference (:mod:`tests.test_sim.scalar_oracle`): within 1e-9 rel on
+every workload and system (and under faults), whether lanes run as a
+stacked group or one at a time through :meth:`Simulator.run`. And each
+lane's result must be *bit-identical* whatever mix of lanes shares the
+stack -- that bit-identity is what keeps sweep checkpoints and exports
+byte-identical.
 """
 
-import numpy as np
 import pytest
 
 from repro.config import baseline_config, starnuma_config
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.sim import SimulationSetup, Simulator
-from repro.sim.batch import (
-    STACK_NAMES,
-    LaneSpec,
-    fill_lane,
-    lane_signature,
-    lane_width,
-    plan_groups,
-    run_lanes,
-    solve_stacks,
-)
+from repro.sim.batch import LaneSpec, lane_signature, plan_groups, run_lanes
 from repro.sim.timing import FixedPointSettings
 from repro.workloads import WORKLOADS
+from tests.test_sim import scalar_oracle
 
 RTOL = 1e-9
 
@@ -50,26 +43,29 @@ def worlds(systems):
     for name in ALL_WORKLOADS:
         setup = SimulationSetup.create(WORKLOADS[name], base,
                                        n_phases=3, seed=7)
-        calibration = Simulator(
-            base, setup, settings=FixedPointSettings(kernel="scalar")
-        ).calibrate()
+        calibration = scalar_oracle.calibrate(Simulator(base, setup))
         out[name] = (setup, calibration)
     return out
 
 
-def solo_run(system, setup, calibration, kernel="vector", faults=None):
-    return Simulator(
-        system, setup, settings=FixedPointSettings(kernel=kernel),
-        faults=FaultSchedule(list(faults)) if faults else None,
-    ).run(calibration=calibration, warmup_phases=1)
+def simulator(system, setup, faults=None):
+    return Simulator(system, setup,
+                     faults=FaultSchedule(list(faults)) if faults else None)
+
+
+def solo_run(system, setup, calibration, faults=None):
+    return simulator(system, setup, faults).run(calibration=calibration,
+                                                warmup_phases=1)
+
+
+def oracle_run(system, setup, calibration, faults=None):
+    return scalar_oracle.run(simulator(system, setup, faults),
+                             calibration=calibration, warmup_phases=1)
 
 
 def batched_spec(system, setup, calibration, faults=None):
     return LaneSpec(
-        simulator=Simulator(
-            system, setup, settings=FixedPointSettings(kernel="vector"),
-            faults=FaultSchedule(list(faults)) if faults else None,
-        ),
+        simulator=simulator(system, setup, faults),
         calibration=calibration,
         warmup_phases=1,
     )
@@ -100,31 +96,38 @@ def assert_bit_identical(reference, candidate):
             == reference.pages_migrated_to_pool)
 
 
+def drive(driver, lanes, calibration):
+    """Run ``(system, setup, faults)`` lanes stacked or one at a time."""
+    if driver == "batched":
+        return run_lanes([batched_spec(system, setup, calibration, faults)
+                          for system, setup, faults in lanes])
+    return [solo_run(system, setup, calibration, faults)
+            for system, setup, faults in lanes]
+
+
 class TestGoldenEquivalence:
-    """batched (and batched-jit) vs scalar, <= 1e-9 rel, full matrix."""
+    """Stacked group and one-lane runs vs the scalar oracle, <= 1e-9."""
 
-    @pytest.mark.parametrize("kernel", ["batched", "batched-jit"])
+    @pytest.mark.parametrize("driver", ["batched", "solo"])
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
-    def test_whole_grid(self, name, kernel, systems, worlds):
+    def test_whole_grid(self, name, driver, systems, worlds):
         setup, calibration = worlds[name]
-        specs = [batched_spec(system, setup, calibration)
-                 for system in systems]
-        results = run_lanes(specs, kernel=kernel)
-        for system, result in zip(systems, results):
-            scalar = solo_run(system, setup, calibration, kernel="scalar")
-            assert_close(scalar, result)
+        lanes = [(system, setup, None) for system in systems]
+        for (system, _, _), result in zip(lanes, drive(driver, lanes,
+                                                       calibration)):
+            assert_close(oracle_run(system, setup, calibration), result)
 
-    @pytest.mark.parametrize("kernel", ["batched", "batched-jit"])
-    def test_faulted_schedule(self, kernel, systems, worlds):
-        _, star = systems
+    @pytest.mark.parametrize("driver", ["batched", "solo"])
+    def test_faulted_schedule(self, driver, systems, worlds):
+        base, star = systems
         setup, calibration = worlds["sssp"]
-        scalar = solo_run(star, setup, calibration, kernel="scalar",
-                          faults=FAULTS)
-        (result,) = run_lanes(
-            [batched_spec(star, setup, calibration, faults=FAULTS)],
-            kernel=kernel,
-        )
-        assert_close(scalar, result)
+        # Stacked with a clean baseline lane, the faulted lane's phases
+        # mix slot widths within one group.
+        faulted, clean = drive(driver, [(star, setup, FAULTS),
+                                        (base, setup, None)], calibration)
+        assert_close(oracle_run(star, setup, calibration, faults=FAULTS),
+                     faulted)
+        assert_close(oracle_run(base, setup, calibration), clean)
 
 
 class TestBitIdentity:
@@ -191,36 +194,6 @@ class TestBitIdentity:
                    for p in open_result.phases)
 
 
-class TestSplitForm:
-    """fill_lane + solve_stacks == run_lanes == solo."""
-
-    def test_prefilled_stacks_match_solo(self, systems, worlds):
-        specs, references = [], []
-        for name in ALL_WORKLOADS[:3]:
-            setup, calibration = worlds[name]
-            for system in systems:
-                specs.append(batched_spec(system, setup, calibration))
-                references.append(solo_run(system, setup, calibration))
-        n_phases = len(specs[0].simulator.setup.traces)
-        shape = (n_phases, len(specs), lane_width(specs))
-        stacks = {name: np.empty(shape) for name in STACK_NAMES}
-        metas = [fill_lane(spec, lane, stacks)
-                 for lane, spec in enumerate(specs)]
-        settings = specs[0].simulator.timing.settings
-        results = solve_stacks(metas, stacks, settings)
-        for reference, result in zip(references, results):
-            assert_bit_identical(reference, result)
-
-    def test_fill_rejects_narrow_stacks(self, systems, worlds):
-        _, star = systems
-        setup, calibration = worlds["sssp"]
-        spec = batched_spec(star, setup, calibration)
-        shape = (len(setup.traces), 1, 3)  # far fewer than n_slots
-        stacks = {name: np.empty(shape) for name in STACK_NAMES}
-        with pytest.raises(ValueError, match="slots"):
-            fill_lane(spec, 0, stacks)
-
-
 class TestGrouping:
     def test_signature_splits_incompatible_lanes(self, systems, worlds):
         base, _ = systems
@@ -260,38 +233,3 @@ class TestGrouping:
         with pytest.raises(ValueError, match="calibration"):
             run_lanes([LaneSpec(simulator=Simulator(base, setup))])
 
-    def test_unknown_kernel_rejected(self, systems, worlds):
-        base, _ = systems
-        setup, calibration = worlds["sssp"]
-        with pytest.raises(ValueError, match="kernel"):
-            run_lanes([batched_spec(base, setup, calibration)],
-                      kernel="vector")
-
-
-class TestJitFallback:
-    def test_no_numba_falls_back_to_numpy(self, systems, worlds,
-                                          monkeypatch):
-        """Without numba, batched-jit degrades gracefully to numpy."""
-        import builtins
-
-        import repro.sim.timing as timing
-
-        real_import = builtins.__import__
-
-        def deny_numba(name, *args, **kwargs):
-            if name == "numba":
-                raise ImportError("numba is not installed")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", deny_numba)
-        monkeypatch.setattr(timing, "_JIT_SOLVER", None)
-        monkeypatch.setattr(timing, "_JIT_UNAVAILABLE", False)
-
-        base, _ = systems
-        setup, calibration = worlds["sssp"]
-        (jit_result,) = run_lanes(
-            [batched_spec(base, setup, calibration)], kernel="batched-jit")
-        (numpy_result,) = run_lanes(
-            [batched_spec(base, setup, calibration)], kernel="batched")
-        assert timing._JIT_UNAVAILABLE
-        assert_bit_identical(numpy_result, jit_result)

@@ -1,10 +1,11 @@
-"""Golden equivalence of the vectorized and scalar timing kernels.
+"""Golden equivalence of the timing model and its scalar oracle.
 
-The array kernel (route-incidence matrices, whole-vector M/D/1) must be
-numerically indistinguishable from the historical per-route Python loop:
-same AMAT, same IPC, same per-link utilizations, on every workload, on
-both systems, and under faults (each fault state compiles its own
-incidence against its rerouted table).
+The program's Step C (route-incidence matrices, whole-vector M/D/1, the
+stacked fixed point) must be numerically indistinguishable from the
+per-route Python reference in :mod:`tests.test_sim.scalar_oracle`: same
+AMAT, same IPC, same per-link utilizations, on every workload, on both
+systems, and under faults (each fault state compiles its own incidence
+against its rerouted table).
 """
 
 import numpy as np
@@ -15,21 +16,13 @@ from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.placement import first_touch_placement
 from repro.sim import SimulationSetup, Simulator
 from repro.sim.classification import classify_phase
-from repro.sim.timing import FixedPointSettings, PhaseTimingModel
 from repro.topology import POOL_LOCATION
 from repro.workloads import WORKLOADS
+from tests.test_sim import scalar_oracle
 
 RTOL = 1e-9
 
 ALL_WORKLOADS = sorted(WORKLOADS)
-
-
-def scalar_settings() -> FixedPointSettings:
-    return FixedPointSettings(kernel="scalar")
-
-
-def vector_settings() -> FixedPointSettings:
-    return FixedPointSettings(kernel="vector")
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +38,7 @@ def worlds(systems):
     for name in ALL_WORKLOADS:
         setup = SimulationSetup.create(WORKLOADS[name], base,
                                        n_phases=3, seed=7)
-        calibration = Simulator(
-            base, setup, settings=scalar_settings()
-        ).calibrate()
+        calibration = scalar_oracle.calibrate(Simulator(base, setup))
         out[name] = (setup, calibration)
     return out
 
@@ -63,12 +54,13 @@ def assert_phases_match(scalar_result, vector_result):
 
 
 def run_both(system, setup, calibration, faults=None, mode="dynamic"):
-    scalar = Simulator(
-        system, setup, settings=scalar_settings(),
-        faults=FaultSchedule(list(faults)) if faults else None,
-    ).run(calibration=calibration, mode=mode, warmup_phases=1)
+    scalar = scalar_oracle.run(
+        Simulator(system, setup,
+                  faults=FaultSchedule(list(faults)) if faults else None),
+        calibration=calibration, mode=mode, warmup_phases=1,
+    )
     vector = Simulator(
-        system, setup, settings=vector_settings(),
+        system, setup,
         faults=FaultSchedule(list(faults)) if faults else None,
     ).run(calibration=calibration, mode=mode, warmup_phases=1)
     return scalar, vector
@@ -121,18 +113,12 @@ class TestLinkLoadEquivalence:
         # block transfers, and tracker charges are all exercised.
         page_map.move(np.arange(0, population.n_pages, 7), POOL_LOCATION)
 
-        models = {}
-        for settings in (scalar_settings(), vector_settings()):
-            sim = Simulator(star, setup, settings=settings)
-            models[settings.kernel] = PhaseTimingModel(
-                star, sim.topology, sim.routes, population, settings
-            )
-
+        model = Simulator(star, setup).timing
         classification = classify_phase(setup.traces[1].counts, page_map,
                                         population)
         loads = {
-            kernel: model._build_loads(classification, batch=None)
-            for kernel, model in models.items()
+            "scalar": scalar_oracle.build_loads(model, classification),
+            "vector": model._build_loads(classification, batch=None),
         }
         scalar_bytes = loads["scalar"].bytes_vector
         vector_bytes = loads["vector"].bytes_vector
@@ -150,11 +136,3 @@ class TestLinkLoadEquivalence:
             rtol=RTOL,
         )
 
-
-class TestKernelSetting:
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
-            FixedPointSettings(kernel="simd")
-
-    def test_defaults_to_vector(self):
-        assert FixedPointSettings().kernel == "vector"
