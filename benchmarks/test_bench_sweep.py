@@ -7,8 +7,9 @@ batched run stacks all lanes into ``(lanes, width)`` arrays and drives
 one masked fixed point per phase. Both sides consume the same
 pre-built :class:`~repro.sim.timing.PhaseInputs`, so the pair isolates
 what stacking buys in the solve stage. (End-to-end sweep
-time is dominated by per-phase classification, which is identical on
-both paths; the ``e2e`` pair below records that honestly.)
+time is dominated by Step B and per-phase classification, which are
+identical on both paths; the ``e2e`` pair below records that honestly,
+starting every round from fresh setups so it times them cold.)
 
 Run with ``--benchmark-json`` to feed the CI perf-smoke artifact::
 
@@ -19,6 +20,8 @@ The committed baseline lives at the repo root as ``BENCH_fig8.json``;
 ``benchmarks/compare_bench.py`` diffs a fresh run against it using
 machine-normalized speedup ratios and fails on a >25% regression.
 """
+
+import dataclasses
 
 import pytest
 
@@ -123,20 +126,41 @@ def test_solve_batched_matches_sequential(sweep):
         == solve_sequential(specs, models, inputs)
 
 
+#: Rounds of each end-to-end case; every round starts cold.
+E2E_ROUNDS = 5
+
+
 @pytest.fixture(scope="module")
 def e2e_specs():
     return build_specs(8)
 
 
+def cold_specs(specs):
+    """Copies of ``specs`` on fresh setups, so no round reads another's
+    Step B or classifications (both are cached on the setup)."""
+    return [LaneSpec(simulator=Simulator(spec.simulator.system,
+                                         dataclasses.replace(
+                                             spec.simulator.setup)),
+                     calibration=spec.calibration,
+                     warmup_phases=spec.warmup_phases)
+            for spec in specs]
+
+
+def bench_cold(benchmark, specs, run):
+    """Time ``run`` on cold copies of ``specs``, built outside the timer."""
+    return benchmark.pedantic(run, setup=lambda: ((cold_specs(specs),), {}),
+                              rounds=E2E_ROUNDS)
+
+
 def test_bench_e2e_sequential(e2e_specs, benchmark):
-    results = benchmark(lambda: [
+    results = bench_cold(benchmark, e2e_specs, lambda specs: [
         spec.simulator.run(calibration=spec.calibration,
                            warmup_phases=spec.warmup_phases)
-        for spec in e2e_specs
+        for spec in specs
     ])
     assert len(results) == 8
 
 
 def test_bench_e2e_batched(e2e_specs, benchmark):
-    results = benchmark(lambda: run_lanes(e2e_specs))
+    results = bench_cold(benchmark, e2e_specs, run_lanes)
     assert len(results) == 8

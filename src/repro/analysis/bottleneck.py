@@ -55,11 +55,9 @@ def analyze_phase(simulator: Simulator, phase_index: int, ipc: float,
     checkpoint = checkpoints[phase_index]
     trace = simulator.setup.traces[phase_index]
 
-    from repro.sim.classification import classify_phase
-
-    classification = classify_phase(trace.counts, checkpoint.page_map,
-                                    simulator.setup.population,
-                                    simulator.timing.replication)
+    classification = simulator.timing.classify(
+        trace, checkpoint.page_map, checkpoint.classifications
+    )
     loads = simulator.timing._build_loads(classification, checkpoint.batch)
     window = simulator.timing._duration_ns(ipc, trace)
 

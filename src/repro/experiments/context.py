@@ -188,15 +188,9 @@ class ExperimentContext:
         from repro.sim.batch import LaneSpec, plan_groups, run_lanes
 
         def solve(specs: List[LaneSpec]):
-            lanes_evaluated = 0
             for group in plan_groups(specs, self.batch_lanes):
                 members = [specs[i] for i in group]
-                results = run_lanes(members)
-                lanes_evaluated += len(members)
-                yield from zip(members, results)
-            # Track batched-lane volume for perf reporting.
-            self._lanes_batched = getattr(self, "_lanes_batched", 0) \
-                + lanes_evaluated
+                yield from zip(members, run_lanes(members))
 
         suffix = scale * 1000 + phase_multiplier
         evaluated = 0

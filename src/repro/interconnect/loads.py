@@ -14,7 +14,7 @@ evaluation side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class LinkLoads:
         self.burstiness = burstiness
         self.index = topology.link_index()
         self._vec = np.zeros(self.index.n_slots, dtype=np.float64)
-        #: Lazily allocated (utilization, wait, tmp) buffers reused across
-        #: fixed-point iterations when ``reuse_scratch`` is requested.
-        self._workspace: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def reset(self) -> None:
         self._vec[:] = 0.0
@@ -151,52 +147,24 @@ class LinkLoads:
 
     # -- vector evaluation ---------------------------------------------------
 
-    def utilization_vector(self, window_ns: float,
-                           out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-slot offered load over capacity for the window.
-
-        With ``out`` the result is written in place (no allocation) via
-        the same IEEE operations, so the values are bit-identical.
-        """
+    def utilization_vector(self, window_ns: float) -> np.ndarray:
+        """Per-slot offered load over capacity for the window."""
         if window_ns <= 0:
             raise ValueError(f"window must be positive, got {window_ns}")
-        if out is None:
-            return self._vec / (window_ns * self.index.capacity_gbps)
-        np.multiply(window_ns, self.index.capacity_gbps, out=out)
-        np.divide(self._vec, out, out=out)
-        return out
+        return self._vec / (window_ns * self.index.capacity_gbps)
 
-    def wait_ns_vector(self, window_ns: float,
-                       reuse_scratch: bool = False) -> np.ndarray:
+    def wait_ns_vector(self, window_ns: float) -> np.ndarray:
         """Per-slot M/D/1 waiting time of one block transfer, burst-scaled.
 
         Element ``s`` equals ``delay_ns(hop_of(s), window_ns)``; the whole
         vector costs a handful of array expressions rather than one
         Python-level queueing call per charged link direction.
-
-        With ``reuse_scratch`` the utilization/wait/intermediate buffers
-        are allocated once per :class:`LinkLoads` and reused across calls
-        (the fixed-point loop calls this every iteration); the returned
-        array is overwritten by the next such call, so callers must
-        consume it before iterating again. Values are bit-identical to
-        the allocating path.
         """
-        if not reuse_scratch:
-            return mdl_wait_ns_array(
-                self.utilization_vector(window_ns),
-                self.index.service_ns,
-                burstiness=self.burstiness,
-            )
-        if self._workspace is None:
-            n = self.index.n_slots
-            self._workspace = (np.empty(n, dtype=np.float64),
-                               np.empty(n, dtype=np.float64),
-                               np.empty(n, dtype=np.float64))
-        util, wait, tmp = self._workspace
-        self.utilization_vector(window_ns, out=util)
-        return mdl_wait_ns_array(util, self.index.service_ns,
-                                 burstiness=self.burstiness,
-                                 out=wait, scratch=tmp)
+        return mdl_wait_ns_array(
+            self.utilization_vector(window_ns),
+            self.index.service_ns,
+            burstiness=self.burstiness,
+        )
 
     # -- keyed evaluation ----------------------------------------------------
 

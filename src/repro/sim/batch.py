@@ -142,6 +142,7 @@ def run_lanes(specs: Sequence[LaneSpec]) -> List[SimulationResult]:
                     checkpoint.page_map, spec.calibration,
                     batch=checkpoint.batch, fixed_ipc=spec.fixed_ipc,
                     initial_ipc=previous[i],
+                    classifications=checkpoint.classifications,
                 ))
             for i, timing in enumerate(evaluate_phases(requests)):
                 previous[i] = timing.ipc

@@ -11,8 +11,9 @@ applies to cores, channels, and link bandwidths (Table II).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+import hashlib
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.obs import OBS
 from repro.placement import PoolCapacityManager, first_touch_placement
 from repro.placement.pagemap import PageMap
 from repro.sim.batch import LaneSpec, run_lanes
+from repro.sim.classification import PhaseClassification
 from repro.sim.results import SimulationResult
 from repro.sim.timing import FixedPointSettings, PhaseTimingModel
 from repro.topology import RouteTable, Topology
@@ -55,11 +57,20 @@ MIN_MIGRATION_REGIONS = 32
 
 @dataclass
 class Checkpoint:
-    """Step B output for one phase: memory state plus in-flight migrations."""
+    """Step B output for one phase: memory state plus in-flight migrations.
+
+    ``classifications`` memoizes this phase's access classification
+    under ``page_map``, keyed by replication plan (see
+    :meth:`~repro.sim.timing.PhaseTimingModel.classify`): every lane
+    that reads the checkpoint -- other systems sharing its Step B, the
+    calibration lane, bottleneck analysis -- classifies it once.
+    """
 
     phase: int
     page_map: PageMap
     batch: Optional[MigrationBatch]
+    classifications: Dict[Optional[str], PhaseClassification] = field(
+        default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -70,12 +81,22 @@ class SimulationSetup:
     the per-socket thread count, and the seed -- never on which system
     variant is being timed -- so one setup is reused across every
     configuration of an experiment for a like-for-like comparison.
+
+    The setup also holds the Step B outputs computed from it, keyed by
+    everything else Step B reads (:meth:`Simulator.step_b_key`): the
+    mode and static map, ``has_pool``, the migration config, and -- with
+    a pool -- its capacity fraction and failure phase. Systems that
+    differ only in latency, bandwidth or link faults therefore share
+    one list of checkpoints. A copy made with ``dataclasses.replace``
+    starts with none.
     """
 
     profile: WorkloadProfile
     population: PagePopulation
     traces: List[PhaseTrace]
     seed: int
+    _checkpoints: Dict[Tuple, List[Checkpoint]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, profile: WorkloadProfile, system: SystemConfig,
@@ -156,7 +177,6 @@ class Simulator:
             replication=replication,
         )
         self._fault_timing: Dict[FaultState, PhaseTimingModel] = {}
-        self._checkpoint_cache: Dict[str, List[Checkpoint]] = {}
 
     def _phase_timing_model(self, phase: int) -> PhaseTimingModel:
         """The timing model for one phase's fault state.
@@ -248,9 +268,35 @@ class Simulator:
             pool_sharer_threshold=self.system.migration.pool_sharer_threshold,
         )
 
+    def step_b_key(self, mode: str = "dynamic",
+                   static_map: Optional[PageMap] = None) -> Tuple:
+        """The sharing key of :meth:`checkpoints`.
+
+        It holds everything Step B reads beyond the setup's traces,
+        seed and population: the mode, the static map, ``has_pool``,
+        the migration config, and -- only with a pool -- its capacity
+        fraction and failure phase. Latencies, bandwidths and link
+        faults are absent because Step B never reads them.
+
+        An explicit ``static_map`` is keyed by its content, never by
+        identity, so a new map that reuses a collected one's ``id``
+        cannot pick up the old map's checkpoints.
+        """
+        map_key = None
+        if static_map is not None:
+            map_key = (static_map.n_sockets, static_map.has_pool,
+                       hashlib.blake2b(static_map.locations.tobytes())
+                       .hexdigest())
+        has_pool = self.topology.has_pool
+        pool = None
+        if has_pool:
+            pool = (self.system.pool.capacity_fraction,
+                    self.faults.pool_failure_phase())
+        return (mode, map_key, has_pool, self.system.migration, pool)
+
     def checkpoints(self, mode: str = "dynamic",
                     static_map: Optional[PageMap] = None) -> List[Checkpoint]:
-        """Run Step B once and cache it (decisions are timing-independent).
+        """Run Step B once per distinct input (decisions ignore timing).
 
         ``mode``:
 
@@ -260,16 +306,19 @@ class Simulator:
         * ``"static"`` -- fixed ``static_map`` (or the oracle), no
           migrations;
         * ``"none"`` -- first-touch only, no migrations.
+
+        The result is cached on the setup under :meth:`step_b_key`, so
+        every simulator of that setup whose system agrees on the key
+        gets the same list. Callers must treat it as read-only.
         """
-        key = f"{mode}:{id(static_map) if static_map is not None else ''}"
-        if key not in self._checkpoint_cache:
+        key = self.step_b_key(mode, static_map)
+        cache = self.setup._checkpoints
+        if key not in cache:
             with OBS.span("sim.step_b", mode=mode,
                           workload=self.setup.profile.name,
                           config=self.system.name):
-                self._checkpoint_cache[key] = self._run_step_b(
-                    mode, static_map
-                )
-        return self._checkpoint_cache[key]
+                cache[key] = self._run_step_b(mode, static_map)
+        return cache[key]
 
     def _run_step_b(self, mode: str,
                     static_map: Optional[PageMap]) -> List[Checkpoint]:

@@ -23,10 +23,11 @@ simulation is a one-lane stack (see :func:`evaluate_phases`).
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -296,6 +297,12 @@ class PhaseTimingModel:
         #: to replicated pages are served locally, writes pay the plan's
         #: software-coherence penalty.
         self.replication = replication
+        #: This model's key in a checkpoint's classification memo (see
+        #: :meth:`classify`): the replication mask's content, if any.
+        self._classification_key: Optional[str] = None
+        if replication is not None:
+            self._classification_key = hashlib.blake2b(
+                replication.replicated.tobytes()).hexdigest()
         self._pool_index = topology.n_sockets
         self._kernel: Optional[_VectorKernel] = None
 
@@ -332,16 +339,42 @@ class PhaseTimingModel:
 
     # -- the stacked-solve seam ------------------------------------------------
 
+    def classify(self, trace: PhaseTrace, page_map: PageMap,
+                 memo: Optional[
+                     Dict[Optional[str], PhaseClassification]] = None
+                 ) -> PhaseClassification:
+        """Classify one phase's accesses under ``page_map``.
+
+        ``memo`` is the checkpoint's classification cache
+        (:attr:`repro.sim.engine.Checkpoint.classifications`). Beyond
+        the trace, the map and the population it belongs with,
+        classification reads only the replication plan's mask, so
+        entries are keyed by that mask's content and shared by every
+        model -- any topology, fault state or system -- that reads the
+        same checkpoint.
+        """
+        key = self._classification_key
+        if memo is not None and key in memo:
+            return memo[key]
+        classification = classify_phase(trace.counts, page_map,
+                                        self.population, self.replication)
+        if memo is not None:
+            memo[key] = classification
+        return classification
+
     def phase_inputs(self, trace: PhaseTrace, page_map: PageMap,
-                     batch: Optional[MigrationBatch] = None) -> "PhaseInputs":
+                     batch: Optional[MigrationBatch] = None,
+                     classifications: Optional[
+                         Dict[Optional[str], PhaseClassification]] = None
+                     ) -> "PhaseInputs":
         """Collect one phase's IPC-independent state for a stacked solve.
 
-        Performs classification, link charging, and the per-phase
+        Performs classification (memoized in ``classifications``, see
+        :meth:`classify`), link charging, and the per-phase
         contractions -- everything except the fixed point itself.
         Pairs with :meth:`batched_lane` and :meth:`finish_phase`.
         """
-        classification = classify_phase(trace.counts, page_map,
-                                        self.population, self.replication)
+        classification = self.classify(trace, page_map, classifications)
         with OBS.span("sim.charge", phase=trace.phase):
             loads = self._build_loads(classification, batch)
         stall_total_ns, extra_cpi = self._migration_overheads(trace, batch)
@@ -544,6 +577,9 @@ class PhaseRequest:
     batch: Optional[MigrationBatch] = None
     fixed_ipc: Optional[float] = None
     initial_ipc: Optional[float] = None
+    #: The checkpoint's classification memo (see
+    #: :meth:`PhaseTimingModel.classify`); None classifies afresh.
+    classifications: Optional[Dict[Optional[str], PhaseClassification]] = None
 
 
 def evaluate_phases(requests: Sequence[PhaseRequest]) -> List[PhaseTiming]:
@@ -570,7 +606,8 @@ def evaluate_phases(requests: Sequence[PhaseRequest]) -> List[PhaseTiming]:
                 loop="open" if request.fixed_ipc is not None else "closed",
             )))
             phase_inputs = request.model.phase_inputs(
-                request.trace, request.page_map, request.batch
+                request.trace, request.page_map, request.batch,
+                request.classifications,
             )
             inputs.append(phase_inputs)
             lanes.append(request.model.batched_lane(
