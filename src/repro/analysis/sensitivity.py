@@ -8,7 +8,7 @@ from typing import Dict, Sequence
 from repro.config import baseline_config, starnuma_config
 from repro.sim import SimulationSetup, Simulator
 from repro.sim.timing import FixedPointSettings
-from repro.workloads import build_population, get_workload
+from repro.workloads import get_workload
 
 
 def burstiness_sensitivity(workload: str,
@@ -59,23 +59,8 @@ def coupling_sensitivity(workload: str,
     results: Dict[float, float] = {}
     for coupling in coupling_values:
         varied = dataclasses.replace(profile, coupling=float(coupling))
-        population = build_population(
-            varied, n_sockets=base_system.n_sockets,
-            sockets_per_chassis=base_system.sockets_per_chassis,
-            seed=seed, layout="clustered",
-        )
-        from repro.trace import TraceSynthesizer
-
-        synthesizer = TraceSynthesizer(
-            population, threads_per_socket=base_system.cores_per_socket,
-            instructions_per_thread=SimulationSetup.scaled_phase_instructions(
-                varied, base_system
-            ),
-            seed=seed,
-        )
-        setup = SimulationSetup(profile=varied, population=population,
-                                traces=synthesizer.synthesize(n_phases),
-                                seed=seed)
+        setup = SimulationSetup.create(varied, base_system,
+                                       n_phases=n_phases, seed=seed)
         base_sim = Simulator(base_system, setup)
         calibration = base_sim.calibrate()
         base = base_sim.run(calibration=calibration,

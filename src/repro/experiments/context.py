@@ -96,39 +96,12 @@ class ExperimentContext:
         """
         key = (workload, scale * 1000 + phase_multiplier)
         if key not in self._setups:
-            system = self.baseline_system(scale)
-            setup = SimulationSetup.create(
-                self.profile(workload), system,
+            self._setups[key] = SimulationSetup.create(
+                self.profile(workload), self.baseline_system(scale),
                 n_phases=self.n_phases, seed=self.seed,
+                phase_multiplier=phase_multiplier,
             )
-            if phase_multiplier != 1:
-                setup = self._stretch_phases(workload, system,
-                                             phase_multiplier)
-            self._setups[key] = setup
         return self._setups[key]
-
-    def _stretch_phases(self, workload: str, system: SystemConfig,
-                        multiplier: int) -> SimulationSetup:
-        from repro.trace import TraceSynthesizer
-        from repro.workloads import build_population
-
-        profile = self.profile(workload)
-        population = build_population(
-            profile, n_sockets=system.n_sockets,
-            sockets_per_chassis=system.sockets_per_chassis,
-            seed=self.seed, layout="clustered",
-        )
-        instructions = SimulationSetup.scaled_phase_instructions(
-            profile, system, multiplier
-        )
-        synthesizer = TraceSynthesizer(
-            population, threads_per_socket=system.cores_per_socket,
-            instructions_per_thread=instructions, seed=self.seed,
-        )
-        return SimulationSetup(
-            profile=profile, population=population,
-            traces=synthesizer.synthesize(self.n_phases), seed=self.seed,
-        )
 
     def simulator(self, system: SystemConfig, workload: str,
                   scale: int = 1,

@@ -101,7 +101,13 @@ class SimulationSetup:
     @classmethod
     def create(cls, profile: WorkloadProfile, system: SystemConfig,
                n_phases: int = 8, seed: int = 0,
-               layout: str = "clustered") -> "SimulationSetup":
+               layout: str = "clustered",
+               phase_multiplier: int = 1) -> "SimulationSetup":
+        """Build the population and synthesize ``n_phases`` phases.
+
+        ``phase_multiplier`` lengthens every phase (see
+        :meth:`scaled_phase_instructions`); the population is the same.
+        """
         population = build_population(
             profile,
             n_sockets=system.n_sockets,
@@ -109,7 +115,8 @@ class SimulationSetup:
             seed=seed,
             layout=layout,
         )
-        instructions = cls.scaled_phase_instructions(profile, system)
+        instructions = cls.scaled_phase_instructions(profile, system,
+                                                     phase_multiplier)
         synthesizer = TraceSynthesizer(
             population,
             threads_per_socket=system.cores_per_socket,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -130,6 +130,9 @@ def _class_sizes(profile: WorkloadProfile, n_pages: int) -> np.ndarray:
 #: of a per-page union that would make every region look like a vagabond.
 SHARER_SET_BLOCK_PAGES = 128
 
+#: Widest system a population can describe: sharer masks are uint32.
+MAX_SOCKETS = 32
+
 
 def _draw_sharer_masks(cls_sharers: int, affinity: float, size: int,
                        n_sockets: int, sockets_per_chassis: int,
@@ -148,8 +151,6 @@ def _draw_sharer_masks(cls_sharers: int, affinity: float, size: int,
     narrow shared classes rotate their member sets deterministically
     across blocks.
     """
-    masks = np.zeros(size, dtype=np.uint32)
-    n_chassis = n_sockets // sockets_per_chassis
     if cls_sharers == 1:
         # One contiguous, equally sized chunk per socket: threads of the
         # same program have statistically identical private working sets.
@@ -158,25 +159,99 @@ def _draw_sharer_masks(cls_sharers: int, affinity: float, size: int,
         return (np.uint32(1) << sockets.astype(np.uint32)).astype(np.uint32)
 
     block = SHARER_SET_BLOCK_PAGES if cls_sharers < 8 else 1
-    for block_index, start in enumerate(range(0, size, block)):
+    if block == 1 and cls_sharers > sockets_per_chassis:
+        # Never chassis-contained, so no rng.random() interleaves with
+        # the per-page choices and they can be drawn as one batch.
+        masks = _draw_page_masks(cls_sharers, size, n_sockets, rng)
+        if masks is not None:
+            return masks
+
+    n_chassis = n_sockets // sockets_per_chassis
+    n_blocks = -(-size // block)
+    members = np.empty((n_blocks, cls_sharers), dtype=np.uint32)
+    for block_index in range(n_blocks):
         contained = (cls_sharers <= sockets_per_chassis
                      and rng.random() < affinity)
         if contained:
             chassis = block_index % n_chassis
             base = chassis * sockets_per_chassis
-            members = base + rng.choice(sockets_per_chassis,
-                                        size=cls_sharers, replace=False)
+            members[block_index] = base + rng.choice(
+                sockets_per_chassis, size=cls_sharers, replace=False)
         elif block > 1:
             # Deterministic rotation: consecutive hot blocks land on
             # disjoint-ish member sets, covering all sockets uniformly.
             first = (block_index * cls_sharers) % n_sockets
-            members = (first + np.arange(cls_sharers)) % n_sockets
+            members[block_index] = (first + np.arange(cls_sharers)) % n_sockets
         else:
-            members = rng.choice(n_sockets, size=cls_sharers, replace=False)
-        mask = np.uint32(0)
-        for member in members:
-            mask |= np.uint32(1) << np.uint32(member)
-        masks[start:start + block] = mask
+            members[block_index] = rng.choice(n_sockets, size=cls_sharers,
+                                              replace=False)
+    block_masks = np.bitwise_or.reduce(np.uint32(1) << members, axis=1)
+    return np.repeat(block_masks, block)[:size]
+
+
+def _lemire(words: np.ndarray, bound: int) -> Optional[np.ndarray]:
+    """Lemire's bounded draws ``word * bound >> 32`` from 32-bit words.
+
+    ``None`` if any word falls below the rejection threshold, where
+    numpy would discard it and draw another.
+    """
+    scaled = words.astype(np.uint64) * np.uint64(bound)
+    if np.any((scaled & np.uint64(0xFFFFFFFF)) < (2**32 - bound) % bound):
+        return None
+    return (scaled >> np.uint64(32)).astype(np.uint32)
+
+
+def _draw_page_masks(k: int, size: int, n_sockets: int,
+                     rng: np.random.Generator) -> Optional[np.ndarray]:
+    """``size`` masks of ``rng.choice(n_sockets, k, replace=False)``, batched.
+
+    ``choice`` on a small population runs Floyd's algorithm -- one draw
+    in ``[0, j]`` for ``j = n-k .. n-1``, where ``j == 0`` reads no word
+    and yields 0 -- then Fisher-Yates shuffles the ``k`` picks with
+    draws in ``[0, i]`` for ``i = k-1 .. 1``. Each draw is one
+    :func:`_lemire` step on a ``next_uint32`` word. The batch reads
+    those words exactly as ``size`` successive calls would: the
+    buffered half-word first, then both halves of each raw 64-bit
+    output, low half first, leaving the same half buffered afterwards.
+    A mask is the OR of Floyd's picks (a pick already taken inserts
+    ``j`` instead); the shuffle words only advance the stream, since
+    member order cannot change a mask. Words are scaled one column at a
+    time, so no temporary outgrows the raw draw.
+
+    If any word would fail Lemire's rejection test -- about one word in
+    10^9 -- the generator is restored and ``None`` returned, so the
+    caller can replay the class one ``choice`` at a time.
+    """
+    floyd = [j for j in range(n_sockets - k, n_sockets) if j > 0]
+    bounds = [j + 1 for j in floyd] + list(range(k, 1, -1))
+    bit_generator = rng.bit_generator
+    snapshot = bit_generator.state
+    n_words = size * len(bounds)
+    buffered = int(snapshot["has_uint32"])
+    raw = bit_generator.random_raw(-(-(n_words - buffered) // 2))
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    if buffered:
+        halves = np.concatenate(
+            [np.array([snapshot["uinteger"]], dtype=np.uint32), halves])
+    words = halves[:n_words].reshape(size, len(bounds))
+
+    # With k == n, Floyd's j == 0 draw always picks socket 0.
+    masks = np.full(size, int(len(floyd) < k), dtype=np.uint32)
+    for column, bound in enumerate(bounds):
+        picks = _lemire(words[:, column], bound)
+        if picks is None:
+            bit_generator.state = snapshot
+            return None
+        if column < len(floyd):
+            bit = np.uint32(1) << picks
+            taken = np.uint32(1 << floyd[column])
+            masks |= np.where(masks & bit, taken, bit)
+
+    state = bit_generator.state
+    state["has_uint32"] = int(halves.size > n_words)
+    if raw.size:
+        state["uinteger"] = int(raw[-1] >> np.uint64(32))
+    bit_generator.state = state
     return masks
 
 
@@ -202,6 +277,19 @@ def _class_weights(access_fraction: float, size: int, skew: float,
     return access_fraction * raw / raw.sum()
 
 
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each uint32 mask, by SWAR bit-slicing.
+
+    ``np.bitwise_count`` needs numpy 2; this runs on any supported numpy
+    with no temporary wider than the masks.
+    """
+    bits = masks.astype(np.uint32)
+    bits -= (bits >> 1) & 0x55555555
+    bits = (bits & 0x33333333) + ((bits >> 2) & 0x33333333)
+    bits = (bits + (bits >> 4)) & 0x0F0F0F0F
+    return ((bits * 0x01010101) >> 24).astype(np.int16)
+
+
 def build_population(profile: WorkloadProfile, n_sockets: int = 16,
                      sockets_per_chassis: int = 4,
                      seed: int = 0,
@@ -215,6 +303,10 @@ def build_population(profile: WorkloadProfile, n_sockets: int = 16,
     """
     if layout not in ("interleaved", "clustered"):
         raise ValueError(f"unknown layout {layout!r}")
+    if n_sockets > MAX_SOCKETS:
+        raise ValueError(
+            f"n_sockets={n_sockets} exceeds {MAX_SOCKETS}: sharer masks "
+            f"are {MAX_SOCKETS}-bit (uint32)")
     if n_sockets % sockets_per_chassis:
         raise ValueError("n_sockets must be a multiple of sockets_per_chassis")
     for cls in profile.sharing:
@@ -257,9 +349,7 @@ def build_population(profile: WorkloadProfile, n_sockets: int = 16,
         masks, weight = masks[order], weight[order]
         write_fraction, class_id = write_fraction[order], class_id[order]
 
-    sharer_count = np.array(
-        [bin(int(mask)).count("1") for mask in masks], dtype=np.int16
-    )
+    sharer_count = _popcount(masks)
     return PagePopulation(
         profile=profile,
         n_sockets=n_sockets,

@@ -25,6 +25,27 @@ class TestPhaseMultiplier:
         assert (normal.population.sharer_mask
                 == stretched.population.sharer_mask).all()
 
+    def test_one_population_per_setup_key(self, monkeypatch):
+        import repro.sim.engine as engine
+        import repro.workloads as workloads
+
+        built = []
+        original = engine.build_population
+
+        def spy(profile, *args, **kwargs):
+            built.append(profile.name)
+            return original(profile, *args, **kwargs)
+
+        # Both import sites: a second Step A path would be counted too.
+        monkeypatch.setattr(engine, "build_population", spy)
+        monkeypatch.setattr(workloads, "build_population", spy)
+        context = ExperimentContext(seed=3, n_phases=2, warmup_phases=1,
+                                    workloads=("poa",))
+        for _ in range(2):
+            context.setup("poa")
+            context.setup("poa", phase_multiplier=3)
+        assert built == ["poa", "poa"]
+
     def test_stretched_runs_cached_separately(self, context):
         star = context.starnuma_system()
         normal = context.run(star, "poa")

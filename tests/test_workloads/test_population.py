@@ -119,6 +119,11 @@ class TestBalance:
             build_population(tiny_profile, n_sockets=10,
                              sockets_per_chassis=4)
 
+    def test_rejects_more_sockets_than_mask_bits(self):
+        # Sharer masks are uint32: 64 sockets would wrap them silently.
+        with pytest.raises(ValueError, match="32-bit"):
+            build_population(get_workload("poa"), n_sockets=64)
+
 
 class TestCharacterization:
     def test_histograms_sum_to_one(self, tiny_population):
