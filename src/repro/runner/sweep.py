@@ -357,68 +357,6 @@ def retry_delay(task_id: str, attempt: int, backoff_s: float,
     return nominal * (0.5 + 0.5 * fraction)
 
 
-def _attempt_task(task_id: str,
-                  run_task: Callable[[str], Optional[Dict[str, object]]],
-                  timeout_s: Optional[float],
-                  max_retries: int,
-                  backoff_s: float,
-                  max_backoff_s: float,
-                  transient_types: Tuple[Type[BaseException], ...],
-                  sleep: Callable[[float], None],
-                  emit: Callable[[str], None],
-                  heartbeat: Callable[[], None] = lambda: None,
-                  ) -> RunOutcome:
-    """One task through the retry/timeout loop; no checkpoint access.
-
-    Shared by the sequential path (``emit`` is the runner's event sink)
-    and the pool workers (``emit`` collects messages for the parent to
-    replay, ``heartbeat`` ticks the worker's supervision slot at every
-    attempt boundary); the caller records the outcome in the checkpoint.
-    """
-    attempts = 0
-    # The pid attribute attributes the span to the worker that ran it;
-    # in a sequential sweep it is simply the parent's pid.
-    span = OBS.span("runner.task", task=task_id, pid=os.getpid())
-    with span:
-        while True:
-            attempts += 1
-            heartbeat()
-            try:
-                with _deadline(timeout_s):
-                    payload = run_task(task_id)
-            except KeyboardInterrupt:
-                raise
-            except BaseException as exc:  # noqa: BLE001 -- isolation is the point
-                transient = isinstance(exc, transient_types)
-                if isinstance(exc, RunTimeoutError):
-                    OBS.counter("runner.timeouts")
-                if transient and attempts <= max_retries:
-                    delay = retry_delay(task_id, attempts, backoff_s,
-                                        max_backoff_s)
-                    OBS.counter("runner.retries")
-                    OBS.event("runner.retry", task=task_id,
-                              attempt=attempts,
-                              error=type(exc).__name__, delay_s=delay)
-                    emit(
-                        f"{task_id}: transient {type(exc).__name__} "
-                        f"({exc}); retry {attempts}/{max_retries} "
-                        f"in {delay:.1f}s"
-                    )
-                    sleep(delay)
-                    continue
-                failure = RunFailure.from_exception(task_id, exc, attempts,
-                                                    transient)
-                span.set(status="failed", attempts=attempts,
-                         error=failure.error_type)
-                return RunOutcome(task_id=task_id, status="failed",
-                                  attempts=attempts, failure=failure)
-            span.set(status="ok", attempts=attempts)
-            return RunOutcome(task_id=task_id, status="ok",
-                              attempts=attempts, payload=payload)
-
-
-
-
 class SweepRunner:
     """Runs a list of task ids through one callable, robustly.
 
@@ -597,15 +535,66 @@ class SweepRunner:
 
     # -- sequential ----------------------------------------------------------
 
+    def _attempt(self, task_id: str, timeout_s: Optional[float],
+                 sleep: Callable[[float], None],
+                 emit: Callable[[str], None],
+                 heartbeat: Callable[[], None] = lambda: None) -> RunOutcome:
+        """One task through the retry/timeout loop; no checkpoint access.
+
+        Shared by the sequential path and the breaker fallback (``emit``
+        is :attr:`on_event`) and the pool workers (``emit`` collects
+        messages for the parent to replay, ``heartbeat`` ticks the
+        worker's supervision slot at every attempt boundary); the
+        caller records the outcome in the checkpoint.
+        """
+        attempts = 0
+        # The pid attribute attributes the span to the worker that ran it;
+        # in a sequential sweep it is simply the parent's pid.
+        span = OBS.span("runner.task", task=task_id, pid=os.getpid())
+        with span:
+            while True:
+                attempts += 1
+                heartbeat()
+                try:
+                    with _deadline(timeout_s):
+                        payload = self.run_task(task_id)
+                except KeyboardInterrupt:
+                    raise
+                except BaseException as exc:  # noqa: BLE001 -- isolation is the point
+                    transient = isinstance(exc, self.transient_types)
+                    if isinstance(exc, RunTimeoutError):
+                        OBS.counter("runner.timeouts")
+                    if transient and attempts <= self.max_retries:
+                        delay = retry_delay(task_id, attempts,
+                                            self.backoff_s,
+                                            self.max_backoff_s)
+                        OBS.counter("runner.retries")
+                        OBS.event("runner.retry", task=task_id,
+                                  attempt=attempts,
+                                  error=type(exc).__name__, delay_s=delay)
+                        emit(
+                            f"{task_id}: transient {type(exc).__name__} "
+                            f"({exc}); retry {attempts}/{self.max_retries} "
+                            f"in {delay:.1f}s"
+                        )
+                        sleep(delay)
+                        continue
+                    failure = RunFailure.from_exception(
+                        task_id, exc, attempts, transient)
+                    span.set(status="failed", attempts=attempts,
+                             error=failure.error_type)
+                    return RunOutcome(task_id=task_id, status="failed",
+                                      attempts=attempts, failure=failure)
+                span.set(status="ok", attempts=attempts)
+                return RunOutcome(task_id=task_id, status="ok",
+                                  attempts=attempts, payload=payload)
+
     def _run_one(self, task_id: str) -> RunOutcome:
         cached = self._cached_outcome(task_id)
         if cached is not None:
             return cached
-        outcome = _attempt_task(
-            task_id, self.run_task, self.timeout_s, self.max_retries,
-            self.backoff_s, self.max_backoff_s, self.transient_types,
-            self.sleep, self.on_event,
-        )
+        outcome = self._attempt(task_id, self.timeout_s, self.sleep,
+                                self.on_event)
         self._record(outcome)
         return outcome
 

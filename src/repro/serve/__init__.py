@@ -23,8 +23,9 @@ Robustness is threaded through every layer:
   running jobs, never re-runs completed ones, and never re-runs
   quarantined poison jobs;
 * **health & drain** (:mod:`repro.serve.app`): ``/healthz`` and
-  ``/readyz`` backed by the worker :class:`~repro.runner.HeartbeatBoard`
-  and circuit-breaker state, plus graceful SIGTERM drain.
+  ``/readyz`` backed by the heartbeats and circuit-breaker state of
+  the runner's supervised pool, which runs the jobs, plus graceful
+  SIGTERM drain.
 
 The layering contract allows ``repro.serve`` to import ``config``,
 ``obs``, and ``runner`` only; the CLI injects the experiment catalog

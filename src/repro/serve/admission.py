@@ -1,20 +1,23 @@
 """Admission control: overload degrades predictably, never into OOM.
 
-The controller owns two numbers per the policy: a bounded submission
-queue (jobs admitted but not yet running) and a per-client in-flight
-cap (jobs queued or running per client identity). Every submission is
-decided *before* any work is queued: a full queue or a capped client
-is shed with 429 + ``Retry-After``, a draining server sheds with 503.
-Decisions are counted (``serve.admit.*``) so overload behavior is
-observable, and reservations are explicit so the accounting cannot
-leak under crashes -- a job releases its slots exactly once, whatever
-path it exits through.
+The controller enforces two bounds per the policy: a bounded
+submission queue (jobs admitted but not yet running) and a per-client
+in-flight cap (jobs queued or running per client identity). Every
+submission is decided *before* any work is queued: a full queue or a
+capped client is shed with 429 + ``Retry-After``, a draining server
+sheds with 503. Decisions are counted (``serve.admit.*``) so overload
+behavior is observable. The queue depth is not counted here but read
+live from its owner (``queue_depth``, bound by the job manager to its
+count of waiting jobs), so no exit path -- a crash requeue, a deadline
+that lapses in the queue -- can leak or double-free a queue slot. A
+job releases its client charge exactly once, on reaching a terminal
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.obs import OBS
 from repro.serve.policy import ServePolicy
@@ -36,9 +39,11 @@ class AdmissionDecision:
 class AdmissionController:
     """Bounded-queue and per-client accounting for submissions."""
 
-    def __init__(self, policy: ServePolicy) -> None:
+    def __init__(self, policy: ServePolicy,
+                 queue_depth: Callable[[], int] = lambda: 0) -> None:
         self.policy = policy
-        self._queued = 0
+        #: Jobs admitted but not yet running, read at every decision.
+        self.queue_depth = queue_depth
         self._inflight_by_client: Dict[str, int] = {}
         self.draining = False
         #: Totals, mirrored to obs counters.
@@ -59,7 +64,7 @@ class AdmissionController:
                 admitted=False, status=503,
                 reason="server is draining; not accepting submissions",
                 retry_after_s=policy.retry_after_s)
-        if self._queued >= policy.max_queue:
+        if self.queue_depth() >= policy.max_queue:
             self.shed_queue_full += 1
             OBS.counter("serve.admit.shed_queue_full")
             return AdmissionDecision(
@@ -76,18 +81,12 @@ class AdmissionController:
                 reason=f"client has {inflight} job(s) in flight "
                        f"(cap {policy.max_inflight_per_client})",
                 retry_after_s=policy.retry_after_s)
-        self._queued += 1
         self._inflight_by_client[client] = inflight + 1
         self.accepted += 1
         OBS.counter("serve.admit.accepted")
         return AdmissionDecision(admitted=True)
 
     # -- reservation lifecycle ----------------------------------------------
-
-    def mark_running(self) -> None:
-        """A queued job started running: its queue slot frees up."""
-        if self._queued > 0:
-            self._queued -= 1
 
     def release_client(self, client: str) -> None:
         """A client's job reached a terminal state."""
@@ -97,19 +96,11 @@ class AdmissionController:
         else:
             self._inflight_by_client[client] = count - 1
 
-    def release_queued(self) -> None:
-        """A job left the queue without ever starting (cancel/drain)."""
-        self.mark_running()
-
     # -- introspection -------------------------------------------------------
-
-    @property
-    def queued(self) -> int:
-        return self._queued
 
     def stats(self) -> Dict[str, object]:
         return {
-            "queued": self._queued,
+            "queued": self.queue_depth(),
             "clients": len(self._inflight_by_client),
             "accepted": self.accepted,
             "shed_queue_full": self.shed_queue_full,

@@ -154,8 +154,8 @@ class ServeApp:
             return
         self._drained = True
         OBS.event("serve.drain.begin",
-                  running=self.manager.running(),
-                  queued=self.admission.queued)
+                  running=len(self.manager.pool.running()),
+                  queued=self.manager.queued())
         await self.manager.drain(self.policy.drain_grace_s)
         OBS.event("serve.drain.end")
 
@@ -245,7 +245,7 @@ class ServeApp:
             "draining": self.manager.draining or self.admission.draining,
             "breaker_open": self.manager.breaker_open,
             "max_heartbeat_age_s": round(
-                self.manager.max_heartbeat_age_s(), 3),
+                self.manager.pool.max_heartbeat_age_s(), 3),
         }
         await write_response(writer, Response.json(200, payload))
 

@@ -1,26 +1,27 @@
-"""Job lifecycle: bounded queue -> supervised worker process -> result.
+"""Job lifecycle: bounded queue -> supervised worker pool -> result.
 
 Each admitted submission becomes a :class:`Job`, content-addressed by
 its scenario's cache key (the job id is a prefix of the key, so
 identical submissions share one job -- the single-flight property is
-structural, not best-effort). Jobs run one at a time per worker slot
-in forked processes, supervised the same way the sweep pool is:
+structural, not best-effort). :class:`JobManager` is a driver of the
+sweep's supervised pool (:class:`~repro.runner.supervisor.WorkerPool`):
+persistent forked workers take one job at a time, and the pool owns
+heartbeats, hang kills, crash detection, strikes and the breaker
+count. What stays here is what is particular to a service:
 
-* the worker arms the scenario through a sequential
-  :class:`~repro.runner.SweepRunner` whose ``timeout_s`` is the
-  *remaining client deadline* -- deadline propagation end-to-end;
-* obs span/event records stream home over the worker's pipe as they
-  happen (via :class:`~repro.obs.CallbackSink`) and fan out to SSE
-  subscribers through the job's :class:`~repro.serve.sse.ProgressHub`;
-* every pipe message ticks the job's
-  :class:`~repro.runner.HeartbeatBoard` slot; a silent worker past the
-  heartbeat deadline is killed and the loss charged as a strike;
+* each assignment carries the job's scenario and its *remaining
+  client deadline*, which the worker's retry loop enforces per attempt
+  -- deadline propagation end-to-end;
+* obs span/event records stream home as they happen and fan out to SSE
+  subscribers through the job's :class:`~repro.serve.sse.ProgressHub`
+  (workers arm a streaming pipeline even when the server is untraced);
 * a job that kills ``max_job_strikes`` workers is quarantined
   (journaled -- never re-run, even across server restarts);
-* ``breaker_threshold`` consecutive worker losses open the circuit
-  breaker: the service stops admitting and ``/readyz`` goes 503;
-* a job nobody is watching (leader disconnected, no followers, past
-  the linger window) is cancelled and its worker killed -- client
+* when the pool's breaker opens (``breaker_threshold`` consecutive
+  worker losses) the service stops admitting and ``/readyz`` goes 503;
+* a job past its deadline, or one nobody is watching (leader
+  disconnected, no followers, past the linger window), is cancelled:
+  its worker is killed and replaced without a strike -- client
   disconnect cancels server-side work, but any attached follower keeps
   the job alive (crashed-leader promotion).
 
@@ -33,17 +34,14 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import signal
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import (Any, Callable, ContextManager, Deque, Dict, List,
-                    Optional, Tuple)
 from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from repro.obs import OBS, CallbackSink
-from repro.obs import configure as obs_configure
-from repro.runner import HeartbeatBoard
+from repro.obs import OBS
+from repro.runner import RunOutcome, SupervisionPolicy, SweepRunner
+from repro.runner.supervisor import Assignment, PoolEvent, WorkerPool
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import ResultCache, SingleFlight
 from repro.serve.journal import JobJournal, JournalState
@@ -122,117 +120,8 @@ class Job:
         return payload
 
 
-# -- worker side -------------------------------------------------------------
-
-#: The scenario runner forked workers inherit (parked by the manager
-#: right before each fork; callables travel by fork, not pickle).
-_JOB_RUNNER: Optional[ScenarioRunner] = None
-
-#: Worker-process state: how many workers this job already killed.
-#: Written only inside the worker (the parent never rebinds it), so
-#: both sides of the fork see a single writer.
-_JOB_INCARNATION: int = 0
-_IN_JOB_WORKER: bool = False
-
-
-def in_job_worker() -> bool:
-    """True inside a serve job worker process."""
-    return _IN_JOB_WORKER
-
-
-def job_incarnation() -> int:
-    """How many workers the current job has already killed (0 first)."""
-    return _JOB_INCARNATION
-
-
-def _set_worker_state(incarnation: int) -> None:
-    """Sole writer of the worker-side globals (fork-safety chokepoint)."""
-    global _JOB_INCARNATION, _IN_JOB_WORKER
-    _JOB_INCARNATION = incarnation
-    _IN_JOB_WORKER = True
-
-
-def _job_worker_main(job_id: str, scenario: Scenario,
-                     timeout_s: Optional[float], conn: Any,
-                     board: HeartbeatBoard, slot: int, incarnation: int,
-                     max_retries: int, backoff_s: float) -> None:
-    """One forked worker: run the scenario, stream obs, ship the result."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    if hasattr(signal, "SIGTERM"):
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _set_worker_state(incarnation)
-    runner_fn = _JOB_RUNNER
-    assert runner_fn is not None, "job worker forked without a runner"
-    board.tick(slot)
-
-    def forward(record: Dict[str, object]) -> None:
-        # Every streamed record doubles as a liveness tick.
-        board.tick(slot)
-        conn.send(("obs", record))
-
-    sink = CallbackSink(forward)
-    streaming: ContextManager[object]
-    if OBS.enabled:
-        # Inherited an armed pipeline whose JSONL handle belongs to the
-        # parent: redirect this process's records onto the pipe.
-        streaming = OBS.redirect(sink)
-    else:
-        obs_configure(sink=sink)
-        streaming = nullcontext()
-
-    from repro.runner.sweep import SweepRunner
-
-    runner = SweepRunner(
-        lambda _task_id: runner_fn(scenario),
-        timeout_s=timeout_s, max_retries=max_retries, backoff_s=backoff_s,
-    )
-    with streaming:
-        outcome = runner.run([job_id])[0]
-    if outcome.status == "ok":
-        conn.send(("done", "ok", outcome.payload, None))
-    else:
-        failure = outcome.failure
-        message = (f"{failure.error_type}: {failure.message}"
-                   if failure is not None else "job failed")
-        conn.send(("done", "failed", None, message))
-    conn.close()
-
-
-# -- parent side -------------------------------------------------------------
-
-
-class _Slot:
-    """Parent-side record of one worker slot."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.job_id: Optional[str] = None
-        self.process: Optional[Any] = None
-        self.conn: Optional[Any] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.job_id is not None
-
-    def close(self) -> None:
-        if self.conn is not None:
-            try:
-                self.conn.close()
-            except OSError:
-                pass
-            self.conn = None
-
-    def kill(self) -> None:
-        if self.process is not None and self.process.is_alive():
-            self.process.kill()
-            self.process.join(1.0)
-        self.close()
-        self.job_id = None
-        self.process = None
-
-
 class JobManager:
-    """Owns the job table, the queue, and the worker slots."""
+    """Owns the job table and the queue; drives the supervised pool."""
 
     def __init__(self, *, run_scenario: ScenarioRunner,
                  journal: JobJournal, cache: ResultCache,
@@ -252,23 +141,26 @@ class JobManager:
         self.git = git
         self.jobs: Dict[str, Job] = {}
         self._queue: Deque[str] = deque()
-        self._ctx = mp_context or multiprocessing.get_context("fork")
-        self.board = HeartbeatBoard.shared(self.policy.max_workers,
-                                           self._ctx)
-        self._slots = [_Slot(index)
-                       for index in range(self.policy.max_workers)]
-        self.breaker_open = False
-        self._consecutive_losses = 0
+        # The queue bound reads the live count of waiting jobs.
+        self.admission.queue_depth = self.queued
+        self.pool = WorkerPool(
+            self.policy.max_workers,
+            mp_context or multiprocessing.get_context("fork"),
+            SupervisionPolicy(
+                poll_interval_s=self.policy.poll_interval_s,
+                max_task_strikes=self.policy.max_job_strikes,
+                breaker_threshold=self.policy.breaker_threshold,
+                drain_grace_s=self.policy.drain_grace_s),
+            self._work, self._on_pool_event,
+            heartbeat_s=self.policy.heartbeat_timeout_s, arm_obs=True)
         self.draining = False
         self._stopped = False
         #: Lifetime counters (also mirrored to obs).
         self.started = 0
-        self.completed = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.quarantined = 0
-        self.hangs = 0
-        self.crashes = 0
+        #: Jobs that reached each terminal state.
+        self.finished = dict.fromkeys(
+            (JobState.DONE, JobState.FAILED, JobState.CANCELLED,
+             JobState.QUARANTINED), 0)
 
     # -- submission ----------------------------------------------------------
 
@@ -381,26 +273,16 @@ class JobManager:
             if record.state == "completed" and record.result is not None:
                 job.state = JobState.DONE
                 job.result = record.result
-                job.hub.close()
-                job.done.set()
                 if not self.cache.contains(record.key):
                     self.cache.put(record.key, record.result)
                 adopted["completed"] += 1
-            elif record.state == "quarantined":
-                job.state = JobState.QUARANTINED
-                job.error = record.error or "quarantined"
-                job.hub.close()
-                job.done.set()
-                adopted["quarantined"] += 1
-            elif record.state in ("failed", "cancelled"):
-                job.state = (JobState.FAILED if record.state == "failed"
-                             else JobState.CANCELLED)
+            elif record.state in (JobState.QUARANTINED, JobState.FAILED,
+                                  JobState.CANCELLED):
+                job.state = record.state
                 job.error = record.error or record.state
-                job.hub.close()
-                job.done.set()
-                adopted["terminal"] += 1
+                adopted["quarantined" if record.state == JobState.QUARANTINED
+                        else "terminal"] += 1
             else:  # submitted / started: the work was lost; run again
-                job.state = JobState.QUEUED
                 job.interest_deadline = (now
                                          + self.policy.default_deadline_s)
                 job.hub = ProgressHub(backlog=self.policy.sse_backlog)
@@ -408,22 +290,25 @@ class JobManager:
                 self._queue.append(record.job_id)
                 adopted["requeued"] += 1
                 OBS.counter("serve.jobs.readopted")
+            if job.state in JobState.TERMINAL:
+                job.hub.close()
+                job.done.set()
             self.jobs[record.job_id] = job
         return adopted
 
     # -- the supervision loop ------------------------------------------------
 
     async def run(self) -> None:
-        """Assign, poll, and supervise until :meth:`stop` is called."""
+        """Fork the workers; assign and supervise until :meth:`stop`."""
+        self.pool.start()
         try:
             while not self._stopped:
-                self._assign_free_slots()
-                self._poll_slots()
+                self._assign_idle_workers()
+                self.pool.poll(0)
                 self._check_interest_and_deadlines()
                 await asyncio.sleep(self.policy.poll_interval_s)
         finally:
-            for slot in self._slots:
-                slot.kill()
+            self.pool.stop()
 
     def stop(self) -> None:
         self._stopped = True
@@ -439,13 +324,10 @@ class JobManager:
         """
         self.draining = True
         deadline = time.monotonic() + grace_s
-        while any(slot.busy for slot in self._slots) \
-                and time.monotonic() < deadline:
-            self._poll_slots()
+        while self.pool.running() and time.monotonic() < deadline:
+            self.pool.poll(0)
             await asyncio.sleep(self.policy.poll_interval_s)
-        for slot in self._slots:
-            if slot.busy:
-                slot.kill()  # journal stays at "started": resumable
+        self.pool.stop()  # journal stays at "started": resumable
         for job in self.jobs.values():
             if not job.hub.closed:
                 job.hub.close({"kind": "event", "name": "serve.drain",
@@ -454,7 +336,16 @@ class JobManager:
         self.stop()
         OBS.counter("serve.drains")
 
-    # -- slot machinery ------------------------------------------------------
+    # -- the pool driver -----------------------------------------------------
+
+    def _work(self, job_id: str, scenario: Scenario,
+              timeout_s: Optional[float]) -> RunOutcome:
+        """Worker side: one job through the retry loop, under its deadline."""
+        runner = SweepRunner(
+            lambda _job_id: self.run_scenario(scenario),
+            timeout_s=timeout_s, max_retries=self.policy.job_max_retries,
+            backoff_s=self.policy.job_backoff_s)
+        return runner.run([job_id])[0]
 
     def _next_queued(self) -> Optional[Job]:
         while self._queue:
@@ -463,226 +354,108 @@ class JobManager:
                 return job
         return None
 
-    def _assign_free_slots(self) -> None:
+    def _assign_idle_workers(self) -> None:
         if self.draining or self.breaker_open:
             return
-        for slot in self._slots:
-            if slot.busy:
-                continue
+        while self.pool.idle():
             job = self._next_queued()
             if job is None:
                 return
-            self._spawn(slot, job)
+            self._start(job)
 
-    def _spawn(self, slot: _Slot, job: Job) -> None:
-        global _JOB_RUNNER
-        now = time.monotonic()
-        remaining = job.deadline_monotonic - now
+    def _start(self, job: Job) -> None:
+        remaining = job.deadline_monotonic - time.monotonic()
         if remaining <= 0:
-            self._finalize_failed(job, "deadline exceeded before start")
+            self._finalize(job, JobState.FAILED,
+                           "deadline exceeded before start")
             return
         self.journal.append("started", job.job_id, key=job.key,
                             strikes=job.strikes)
-        self.admission.mark_running()
         job.state = JobState.RUNNING
         self.started += 1
         OBS.counter("serve.jobs.started")
-        self.board.reset(slot.index)
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        _JOB_RUNNER = self.run_scenario
-        try:
-            process = self._ctx.Process(
-                target=_job_worker_main,
-                args=(job.job_id, job.scenario, remaining, send_conn,
-                      self.board, slot.index, job.strikes,
-                      self.policy.job_max_retries,
-                      self.policy.job_backoff_s),
-                daemon=True,
-            )
-            process.start()
-        finally:
-            _JOB_RUNNER = None
-            send_conn.close()
-        slot.job_id = job.job_id
-        slot.process = process
-        slot.conn = recv_conn
+        self.pool.assign(Assignment(job.job_id, job.scenario, remaining,
+                                    job.strikes))
 
-    def _poll_slots(self) -> None:
-        max_age = 0.0
-        for slot in self._slots:
-            if not slot.busy:
-                continue
-            self._drain_pipe(slot)
-            if not slot.busy:
-                continue  # the pipe delivered the result
-            job = self.jobs.get(slot.job_id or "")
-            process = slot.process
-            if job is None or process is None:  # pragma: no cover
-                slot.kill()
-                continue
-            if not process.is_alive():
-                self._drain_pipe(slot)
-                if not slot.busy:
-                    continue  # result arrived just before death
-                self._worker_lost(slot, job, "crash")
-                continue
-            age = self.board.age_s(slot.index)
-            max_age = max(max_age, age)
-            if age > self.policy.heartbeat_timeout_s:
-                slot.kill()
-                self.hangs += 1
-                OBS.counter("serve.hangs")
-                self._worker_lost(slot, job, "hang")
-        if OBS.enabled:
-            OBS.gauge("serve.heartbeat_age_s", round(max_age, 6))
-
-    def _drain_pipe(self, slot: _Slot) -> None:
-        while slot.conn is not None:
-            try:
-                if not slot.conn.poll(0):
-                    return
-                message = slot.conn.recv()
-            except (EOFError, OSError):
-                slot.close()
-                return
-            self._on_message(slot, message)
-            if not slot.busy:
-                return
-
-    def _on_message(self, slot: _Slot, message: Tuple[object, ...]) -> None:
-        job = self.jobs.get(slot.job_id or "")
-        if job is None:  # pragma: no cover -- defensive
+    def _on_pool_event(self, event: PoolEvent) -> None:
+        if event.kind == "breaker":
+            self.admission.draining = True  # sheds new submissions
             return
-        kind = message[0]
-        if kind == "obs":
-            record = message[1]
-            if isinstance(record, dict):
-                record_kind = record.get("kind")
-                if record_kind in ("span", "event"):
-                    job.hub.publish(record)
-                if OBS.enabled and record_kind in ("span", "event",
-                                                   "metric"):
-                    OBS.absorb(record)
-            return
-        if kind == "done":
-            _, status, payload, error = message
-            self._release_slot(slot)
-            if status == "ok" and isinstance(payload, dict):
-                self._finalize_ok(job, payload)
+        job = self.jobs[event.task_id]
+        if event.kind == "record":
+            record: Dict[str, object] = event.value  # type: ignore[assignment]
+            record_kind = record.get("kind")
+            if record_kind in ("span", "event"):
+                job.hub.publish(record)
+            if OBS.enabled and record_kind in ("span", "event", "metric"):
+                OBS.absorb(record)
+        elif event.kind == "result":
+            outcome: RunOutcome = event.value  # type: ignore[assignment]
+            if outcome.status == "ok" and isinstance(outcome.payload, dict):
+                self._finalize_ok(job, outcome.payload)
             else:
-                self._finalize_failed(
-                    job, str(error) if error else "job failed")
-
-    def _release_slot(self, slot: _Slot) -> None:
-        process = slot.process
-        slot.job_id = None
-        slot.close()
-        if process is not None:
-            process.join(1.0)
-            if process.is_alive():
-                process.kill()
-                process.join(1.0)
-        slot.process = None
+                failure = outcome.failure
+                self._finalize(job, JobState.FAILED,
+                               f"{failure.error_type}: {failure.message}"
+                               if failure is not None else "job failed")
+        elif event.kind == "quarantine":
+            job.strikes = event.strikes
+            self._finalize(
+                job, JobState.QUARANTINED,
+                f"job killed {event.strikes} worker(s) "
+                f"(last loss: {event.loss}); quarantined as poisoned")
+        elif event.kind == "lost":
+            job.strikes = event.strikes
+            job.state = JobState.QUEUED
+            self._queue.appendleft(job.job_id)
+            OBS.counter("serve.jobs.requeued")
 
     # -- outcomes ------------------------------------------------------------
 
     def _finalize_ok(self, job: Job, result: Dict[str, object]) -> None:
-        self._consecutive_losses = 0
         # Durability order: cache first, then the journal's completed
         # record (which carries the result too) -- a crash between the
         # two re-runs the job, it never serves a torn result.
         self.cache.put(job.key, result)
-        self.journal.append("completed", job.job_id, key=job.key,
+        self.journal.append(JobState.DONE, job.job_id, key=job.key,
                             result=result)
-        job.state = JobState.DONE
         job.result = result
-        self.completed += 1
-        OBS.counter("serve.jobs.completed")
-        self._settle(job, {"kind": "event", "name": "serve.job.done",
-                           "attrs": {"job": job.job_id, "status": "ok"}})
+        self._settle(job, JobState.DONE, {"status": "ok"})
 
-    def _finalize_failed(self, job: Job, error: str) -> None:
-        self._consecutive_losses = 0
-        self.journal.append("failed", job.job_id, key=job.key, error=error)
-        job.state = JobState.FAILED
+    def _finalize(self, job: Job, state: str, error: str) -> None:
+        """End a job without a result: failed, cancelled or quarantined."""
+        extra = ({"strikes": job.strikes}
+                 if state == JobState.QUARANTINED else {})
+        self.journal.append(state, job.job_id, key=job.key, error=error,
+                            **extra)
         job.error = error
-        self.failed += 1
-        OBS.counter("serve.jobs.failed")
-        self._settle(job, {"kind": "event", "name": "serve.job.done",
-                           "attrs": {"job": job.job_id, "status": "failed",
-                                     "error": error}})
+        self._settle(job, state, {"status": state, "error": error}
+                     if state == JobState.FAILED else {"status": state})
 
-    def _finalize_cancelled(self, job: Job, reason: str) -> None:
-        self.journal.append("cancelled", job.job_id, key=job.key,
-                            error=reason)
-        job.state = JobState.CANCELLED
-        job.error = reason
-        self.cancelled += 1
-        OBS.counter("serve.jobs.cancelled")
-        self._settle(job, {"kind": "event", "name": "serve.job.done",
-                           "attrs": {"job": job.job_id,
-                                     "status": "cancelled"}})
-
-    def _finalize_quarantined(self, job: Job, error: str) -> None:
-        self.journal.append("quarantined", job.job_id, key=job.key,
-                            error=error, strikes=job.strikes)
-        job.state = JobState.QUARANTINED
-        job.error = error
-        self.quarantined += 1
-        OBS.counter("serve.jobs.quarantined")
-        self._settle(job, {"kind": "event", "name": "serve.job.done",
-                           "attrs": {"job": job.job_id,
-                                     "status": "quarantined"}})
-
-    def _settle(self, job: Job, final: Dict[str, object]) -> None:
+    def _settle(self, job: Job, state: str,
+                attrs: Dict[str, object]) -> None:
+        job.state = state
+        self.finished[state] += 1
+        OBS.counter(f"serve.jobs.{state}")
         self.singleflight.release(job.key, job.job_id)
         self.admission.release_client(job.client)
-        job.hub.close(final)
+        job.hub.close({"kind": "event", "name": "serve.job.done",
+                       "attrs": {"job": job.job_id, **attrs}})
         job.done.set()
-
-    def _worker_lost(self, slot: _Slot, job: Job, kind: str) -> None:
-        exitcode = (slot.process.exitcode
-                    if slot.process is not None else None)
-        self._release_slot(slot)
-        if kind == "crash":
-            self.crashes += 1
-            OBS.counter("serve.crashes")
-        job.strikes += 1
-        self._consecutive_losses += 1
-        OBS.event("serve.worker_lost", kind=kind, job=job.job_id,
-                  exitcode=exitcode, strikes=job.strikes)
-        if job.strikes >= self.policy.max_job_strikes:
-            self._finalize_quarantined(
-                job, f"job killed {job.strikes} worker(s) "
-                     f"(last loss: {kind}); quarantined as poisoned")
-        else:
-            job.state = JobState.QUEUED
-            self._queue.appendleft(job.job_id)
-            OBS.counter("serve.jobs.requeued")
-        if self._consecutive_losses >= self.policy.breaker_threshold \
-                and not self.breaker_open:
-            self.breaker_open = True
-            self.admission.draining = True  # sheds new submissions
-            OBS.counter("serve.breaker_trips")
 
     def _check_interest_and_deadlines(self) -> None:
         now = time.monotonic()
-        for slot in self._slots:
-            if not slot.busy:
-                continue
-            job = self.jobs.get(slot.job_id or "")
-            if job is None:
-                continue
+        for job_id in self.pool.running():
+            job = self.jobs[job_id]
             if now > job.deadline_monotonic + self.policy.deadline_slack_s:
-                slot.kill()
-                self._finalize_failed(job, "deadline exceeded")
+                self.pool.cancel(job_id)
+                self._finalize(job, JobState.FAILED, "deadline exceeded")
                 OBS.counter("serve.deadline_kills")
-                continue
-            if job.watchers == 0 and job.interest_deadline is not None \
+            elif job.watchers == 0 and job.interest_deadline is not None \
                     and now > job.interest_deadline:
-                slot.kill()
-                self._finalize_cancelled(
-                    job, "no client remained attached; work cancelled")
+                self.pool.cancel(job_id)
+                self._finalize(job, JobState.CANCELLED,
+                               "no client remained attached; work cancelled")
         for job_id in list(self._queue):
             job = self.jobs.get(job_id)
             if job is None or job.state != JobState.QUEUED:
@@ -690,47 +463,41 @@ class JobManager:
             expired_interest = (job.watchers == 0
                                 and job.interest_deadline is not None
                                 and now > job.interest_deadline)
-            past_deadline = now > job.deadline_monotonic
-            if expired_interest or past_deadline:
-                self.admission.release_queued()
-                if past_deadline:
-                    self._finalize_failed(job,
-                                          "deadline exceeded in queue")
-                else:
-                    self._finalize_cancelled(
-                        job, "no client remained attached; "
-                             "submission cancelled")
+            if now > job.deadline_monotonic:
+                self._finalize(job, JobState.FAILED,
+                               "deadline exceeded in queue")
+            elif expired_interest:
+                self._finalize(job, JobState.CANCELLED,
+                               "no client remained attached; "
+                               "submission cancelled")
 
     # -- introspection -------------------------------------------------------
 
-    def running(self) -> int:
-        return sum(1 for slot in self._slots if slot.busy)
+    @property
+    def breaker_open(self) -> bool:
+        return self.pool.health.breaker_tripped
 
-    def max_heartbeat_age_s(self) -> float:
-        ages = [self.board.age_s(slot.index) for slot in self._slots
-                if slot.busy]
-        return max(ages, default=0.0)
+    def queued(self) -> int:
+        """Jobs waiting for a worker (the admission queue's depth)."""
+        return sum(1 for job in self.jobs.values()
+                   if job.state == JobState.QUEUED)
 
     def stats(self) -> Dict[str, object]:
         states: Dict[str, int] = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
+        health = self.pool.health
         return {
             "jobs": states,
-            "queued": len([job_id for job_id in self._queue
-                           if (job := self.jobs.get(job_id)) is not None
-                           and job.state == JobState.QUEUED]),
-            "running": self.running(),
+            "queued": self.queued(),
+            "running": len(self.pool.running()),
             "started": self.started,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "quarantined": self.quarantined,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
+            **self.finished,
+            "crashes": health.crashes_detected,
+            "hangs": health.hangs_detected,
             "coalesced": self.singleflight.coalesced,
             "breaker_open": self.breaker_open,
-            "consecutive_losses": self._consecutive_losses,
+            "consecutive_losses": self.pool.consecutive_losses,
             "draining": self.draining,
             "admission": self.admission.stats(),
         }

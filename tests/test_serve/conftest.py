@@ -5,7 +5,8 @@ unix socket inside ``asyncio.run`` and speak actual HTTP/SSE to it --
 no mocked transport, the same bytes ``starnuma serve`` clients send.
 The injected runner is synthetic (the layering contract keeps
 ``repro.serve`` off the simulator), with experiments that succeed,
-sleep, or kill their worker on demand.
+sleep, or kill their worker on demand -- always (``boom``) or only on
+a job's first incarnation (``flaky``).
 """
 
 import asyncio
@@ -14,12 +15,13 @@ import json
 import os
 import time
 
+from repro.runner import supervisor
 from repro.serve import Catalog, ServeApp, ServePolicy
 
 #: seed encodes the sleep for "sleepy" runs, in tenths of a second.
 SLEEP_UNIT_S = 0.1
 
-CATALOG = Catalog.of(["echo", "sleepy", "boom"], ["wl"])
+CATALOG = Catalog.of(["echo", "sleepy", "boom", "flaky"], ["wl"])
 
 TERMINAL = ("completed", "failed", "cancelled", "quarantined")
 
@@ -28,6 +30,8 @@ def demo_runner(scenario):
     """The injected scenario runner (executes in a forked worker)."""
     if scenario.experiment == "boom":
         os._exit(86)
+    if scenario.experiment == "flaky" and supervisor.task_incarnation() == 0:
+        os._exit(87)  # the first worker dies; its replacement succeeds
     if scenario.experiment == "sleepy":
         time.sleep(scenario.seed * SLEEP_UNIT_S)
     return {

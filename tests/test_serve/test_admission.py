@@ -8,11 +8,18 @@ POLICY = ServePolicy(max_queue=2, max_inflight_per_client=2,
                      retry_after_s=0.5)
 
 
+def admission_over(waiting, policy=POLICY):
+    """A controller whose queue depth is the live length of ``waiting``."""
+    return AdmissionController(policy, queue_depth=lambda: len(waiting))
+
+
 class TestDecisions:
     def test_queue_fills_then_sheds_429(self):
-        admission = AdmissionController(POLICY)
-        assert admission.try_admit("a").admitted
-        assert admission.try_admit("b").admitted
+        waiting = []
+        admission = admission_over(waiting)
+        for client in ("a", "b"):
+            assert admission.try_admit(client).admitted
+            waiting.append(client)
         verdict = admission.try_admit("c")
         assert not verdict.admitted
         assert verdict.status == 429
@@ -22,10 +29,9 @@ class TestDecisions:
 
     def test_per_client_cap_sheds_429(self):
         policy = ServePolicy(max_queue=16, max_inflight_per_client=2)
-        admission = AdmissionController(policy)
+        admission = AdmissionController(policy)  # nothing ever waits
         for _ in range(2):
             assert admission.try_admit("greedy").admitted
-            admission.mark_running()  # queue frees; client stays charged
         verdict = admission.try_admit("greedy")
         assert (verdict.admitted, verdict.status) == (False, 429)
         assert "cap 2" in verdict.reason
@@ -38,24 +44,30 @@ class TestDecisions:
         assert (verdict.admitted, verdict.status) == (False, 503)
 
     def test_release_restores_capacity(self):
-        admission = AdmissionController(POLICY)
+        waiting = []
+        admission = admission_over(waiting)
         admission.try_admit("a")
         admission.try_admit("a")
-        admission.mark_running()
-        admission.mark_running()
+        assert not admission.try_admit("a").admitted  # client cap
         admission.release_client("a")
         admission.release_client("a")
         assert admission.try_admit("a").admitted
-        assert admission.queued == 1
+        waiting.append("a")
+        assert admission.stats()["queued"] == 1
 
-    def test_release_queued_never_goes_negative(self):
-        admission = AdmissionController(POLICY)
-        admission.release_queued()
-        assert admission.queued == 0
+    def test_queue_bound_reads_the_live_depth(self):
+        waiting = ["x", "y"]
+        admission = admission_over(waiting)
+        assert not admission.try_admit("a").admitted
+        waiting.pop()  # a job left the queue by any path
+        assert admission.try_admit("a").admitted
+        assert admission.stats()["queued"] == 1
 
     def test_stats_shape(self):
-        admission = AdmissionController(POLICY)
+        waiting = []
+        admission = admission_over(waiting)
         admission.try_admit("a")
+        waiting.append("a")
         stats = admission.stats()
         assert stats["accepted"] == 1
         assert stats["queued"] == 1

@@ -147,6 +147,22 @@ class TestFailureModes:
                 assert stats["crashes"] == 2  # max_job_strikes workers
         asyncio.run(go())
 
+    def test_job_survives_one_worker_crash_on_the_shared_pool(self,
+                                                              tmp_path):
+        async def go():
+            async with Harness(tmp_path) as harness:
+                flaky = {"experiment": "flaky", "seed": 1}
+                _, _, body = await harness.submit(flaky)
+                final = await harness.wait_terminal(body["job"])
+                assert final["state"] == "completed"
+                assert final["result"] == {"experiment": "flaky",
+                                           "seed": 1, "rows": [[1, 12]]}
+                _, _, stats = await harness.request("GET", "/v1/stats")
+                assert stats["crashes"] == 1
+                assert stats["started"] == 2  # exactly one strike, rerun
+                assert stats["quarantined"] == 0
+        asyncio.run(go())
+
     def test_overload_sheds_429_with_retry_after(self, tmp_path):
         async def go():
             policy = fast_policy(max_workers=1, max_queue=1)

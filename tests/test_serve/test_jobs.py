@@ -1,5 +1,11 @@
-"""JobManager semantics that need no event loop: submission
-dispositions, single-flight structure, and journal adoption."""
+"""JobManager semantics: submission dispositions, single-flight
+structure, journal adoption, and the admission queue's accounting
+under the supervision loop."""
+
+import asyncio
+import contextlib
+import os
+import time
 
 import pytest
 
@@ -20,13 +26,40 @@ from .conftest import fast_policy
 ECHO = Scenario(experiment="echo", seed=1)
 
 
-def make_manager(tmp_path, **policy_overrides):
+def make_manager(tmp_path, run_scenario=lambda scenario: {"ok": True},
+                 **policy_overrides):
     policy = fast_policy(**policy_overrides)
     journal = JobJournal(tmp_path / "journal.jsonl")
     return JobManager(
-        run_scenario=lambda scenario: {"ok": True}, journal=journal,
+        run_scenario=run_scenario, journal=journal,
         cache=ResultCache(), admission=AdmissionController(policy),
         policy=policy, git="test")
+
+
+def crash_slowly(scenario):
+    """``boom`` works a while, then kills its worker; the rest succeed."""
+    if scenario.experiment == "boom":
+        time.sleep(0.5)
+        os._exit(86)
+    return {"ok": True}
+
+
+@contextlib.asynccontextmanager
+async def supervising(manager):
+    """The manager's supervision loop, running for the block."""
+    loop_task = asyncio.create_task(manager.run())
+    try:
+        yield
+    finally:
+        manager.stop()
+        await loop_task
+
+
+async def wait_for(condition, timeout_s=15.0):
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
 
 
 class TestIdentity:
@@ -83,7 +116,7 @@ class TestSubmit:
     def test_quarantined_scenario_is_refused_without_work(self, tmp_path):
         manager = make_manager(tmp_path)
         _, job = manager.submit(ECHO, "alice", 30.0)
-        manager._finalize_quarantined(job, "poisoned")
+        manager._finalize(job, JobState.QUARANTINED, "poisoned")
         disposition, again = manager.submit(ECHO, "bob", 30.0)
         assert disposition == "quarantined"
         assert again is job
@@ -122,3 +155,48 @@ class TestAdopt:
         # Quarantine survives the restart.
         assert manager.jobs["bad0000000000000"].state \
             == JobState.QUARANTINED
+
+
+class TestQueueAccounting:
+    """The queue bound reads the live count of waiting jobs, so no
+    exit path can leak a queue slot or free one twice."""
+
+    def test_deadline_lapsing_in_the_queue_frees_its_slot(self, tmp_path):
+        manager = make_manager(tmp_path, max_queue=1)
+        _, expired = manager.submit(ECHO, "alice", 0.01)
+        time.sleep(0.05)  # the deadline passes before any worker is free
+
+        async def go():
+            async with supervising(manager):
+                await wait_for(lambda: expired.state == JobState.FAILED)
+
+        asyncio.run(go())
+        assert "deadline" in expired.error
+        assert manager.stats()["admission"]["queued"] == 0
+        disposition, _ = manager.submit(
+            Scenario(experiment="echo", seed=2), "alice", 30.0)
+        assert disposition == "accepted"
+
+    def test_crash_requeue_keeps_the_waiting_job_counted(self, tmp_path):
+        manager = make_manager(tmp_path, run_scenario=crash_slowly,
+                               max_workers=1, max_queue=1,
+                               max_job_strikes=2)
+
+        async def go():
+            async with supervising(manager):
+                _, boom = manager.submit(Scenario(experiment="boom"),
+                                         "alice", 30.0)
+                await wait_for(lambda: boom.state == JobState.RUNNING)
+                _, waiting = manager.submit(ECHO, "alice", 30.0)
+                # The only worker crashes under boom, which is requeued
+                # ahead of the waiting job and started again.
+                await wait_for(lambda: boom.strikes == 1
+                               and boom.state == JobState.RUNNING)
+                assert waiting.state == JobState.QUEUED
+                assert manager.stats()["admission"]["queued"] == 1
+                with pytest.raises(AdmissionShed):
+                    manager.submit(Scenario(experiment="echo", seed=9),
+                                   "bob", 30.0)
+
+        asyncio.run(go())
+
