@@ -42,31 +42,28 @@ class BaselinePolicy:
         self.rng = rng or np.random.default_rng(0)
         self.phases_run = 0
 
-    def decide(self, page_counts: np.ndarray,
-               page_map: PageMap) -> MigrationBatch:
+    def decide(self, counts, page_map: PageMap) -> MigrationBatch:
         """Choose and apply this phase's migrations.
 
-        ``page_counts`` has shape ``(n_sockets, n_pages)`` and holds the
-        oracle per-socket access counts of the ending phase.
+        ``counts`` holds the oracle per-(socket, page) access counts of
+        the ending phase, sparse (a :class:`repro.trace.PhaseTrace`).
         """
         self.phases_run += 1
         batch = MigrationBatch(phase=self.phases_run)
-        n_sockets, n_pages = page_counts.shape
+        n_sockets, n_pages = counts.n_sockets, counts.n_pages
         if n_pages != page_map.n_pages:
             raise ValueError(
                 f"count matrix covers {n_pages} pages, map has "
                 f"{page_map.n_pages}"
             )
 
-        totals = page_counts.sum(axis=0)
-        best_count = page_counts.max(axis=0)
+        totals = counts.page_totals()
+        best_count = counts.page_peaks()
         current = page_map.locations.astype(np.int64)
         # Count of accesses served locally if the page stays put. Pages on
         # the pool never occur in the baseline (no pool), but guard anyway.
-        on_socket = current >= 0
-        current_count = np.zeros(n_pages, dtype=page_counts.dtype)
-        cols = np.flatnonzero(on_socket)
-        current_count[cols] = page_counts[current[cols], cols]
+        current_count = counts.at_sockets(current)
+        cols = np.flatnonzero(current >= 0)
 
         profitable = (
             (totals >= self.min_accesses)
@@ -96,8 +93,9 @@ class BaselinePolicy:
         # of its peak count. Pages with a single clear winner -- the
         # common case -- take the precomputed argmax without touching
         # ``remote_served``, leaving the per-page flatnonzero/argmin work
-        # to the genuinely tied pages only.
-        cand_counts = page_counts[:, candidates]
+        # to the genuinely tied pages only. Only the candidate columns
+        # are ever densified.
+        cand_counts = counts.columns(candidates)
         tied = cand_counts >= (cand_counts.max(axis=0) * 0.9)[None, :]
         tie_degree = tied.sum(axis=0)
         clear_winner = cand_counts.argmax(axis=0)
@@ -118,10 +116,11 @@ class BaselinePolicy:
             source = int(current[page])
             if destination == source:
                 continue
-            counts = page_counts[:, page]
+            page_column = cand_counts[:, rank]
             total = float(totals[page])
-            remote_served[source] -= total - float(counts[source])
-            remote_served[destination] += total - float(counts[destination])
+            remote_served[source] -= total - float(page_column[source])
+            remote_served[destination] += (total
+                                           - float(page_column[destination]))
             moved_pages.append(int(page))
             moved_dest.append(destination)
             if OBS.enabled:

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.config import SystemConfig, units
 from repro.config.parameters import PAGE_SIZE_BYTES
 from repro.migration.records import MigrationBatch
@@ -62,13 +60,14 @@ class MigrationCostModel:
         )
         return copy_ns + shootdown_ns
 
-    def costs_for(self, batch: MigrationBatch, page_counts: np.ndarray,
+    def costs_for(self, batch: MigrationBatch, counts,
                   phase_duration_ns: float) -> MigrationCosts:
         """Total overheads of ``batch`` given this phase's access counts.
 
-        ``page_counts`` has shape ``(n_sockets, n_pages)``. Accesses to a
-        migrating page arriving inside its in-flight window stall for half
-        the window on average.
+        ``counts`` holds the phase's sparse per-(socket, page) counts (a
+        :class:`repro.trace.PhaseTrace`); only the moved pages' columns
+        are read. Accesses to a migrating page arriving inside its
+        in-flight window stall for half the window on average.
         """
         if phase_duration_ns <= 0:
             raise ValueError("phase duration must be positive")
@@ -78,7 +77,7 @@ class MigrationCostModel:
             return MigrationCosts(0, 0.0, 0.0, 0.0)
 
         in_flight_ns = self.per_page_in_flight_ns()
-        accesses_to_moved = float(page_counts[:, pages].sum())
+        accesses_to_moved = float(counts.columns(pages).sum())
         # Fraction of the phase during which each moved page is in flight,
         # times its accesses, gives the expected number of stalled
         # accesses; each waits in_flight/2 on average.

@@ -9,7 +9,7 @@ a region's pages migrate together, exactly as a physical region would.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class RegionTable:
         self._region_pages = region_pages
         self.page_to_region = page_to_region
         self.n_regions = len(region_pages)
+        self._binned_index: Optional[object] = None
+        self._entry_bins = np.empty(0, dtype=np.int64)
 
     def pages_of(self, region: int) -> np.ndarray:
         """Page ids belonging to ``region``."""
@@ -56,22 +58,30 @@ class RegionTable:
         return np.array([pages.size for pages in self._region_pages],
                         dtype=np.int64)
 
-    def aggregate_page_counts(self, counts_by_page: np.ndarray) -> np.ndarray:
+    def aggregate_page_counts(self, counts) -> np.ndarray:
         """Sum per-(socket, page) counts into per-(socket, region) counts.
 
-        ``counts_by_page`` has shape ``(n_sockets, n_pages)``; the result
-        has shape ``(n_sockets, n_regions)``.
+        ``counts`` holds a phase's sparse counts (a
+        :class:`repro.trace.PhaseTrace`). The result is an int64 array
+        of shape ``(n_sockets, n_regions)``.
         """
-        if counts_by_page.shape[-1] != self.n_pages:
+        index = counts.index
+        if index.n_pages != self.n_pages:
             raise ValueError(
                 f"expected {self.n_pages} page columns, "
-                f"got {counts_by_page.shape[-1]}"
+                f"got {index.n_pages}"
             )
-        n_sockets = counts_by_page.shape[0]
-        out = np.zeros((n_sockets, self.n_regions), dtype=counts_by_page.dtype)
-        for socket in range(n_sockets):
-            np.add.at(out[socket], self.page_to_region, counts_by_page[socket])
-        return out
+        # Every phase of a run shares one index, so its entries' bins are
+        # computed once and reused until a phase brings another index.
+        if self._binned_index is not index:
+            self._binned_index = index
+            self._entry_bins = (index.sockets * self.n_regions
+                                + self.page_to_region[index.pages])
+        # Float64 bins of integer counts are exact far past any phase.
+        totals = np.bincount(self._entry_bins, weights=counts.values,
+                             minlength=index.n_sockets * self.n_regions)
+        return totals.astype(np.int64).reshape(index.n_sockets,
+                                               self.n_regions)
 
     def region_locations(self, page_map: PageMap) -> np.ndarray:
         """Current location of every region (location of its first page).

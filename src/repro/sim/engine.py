@@ -154,8 +154,17 @@ class SimulationSetup:
         return max(MIN_PHASE_INSTRUCTIONS, int(nominal * scale * multiplier))
 
     def total_counts(self) -> np.ndarray:
-        """Whole-run (socket, page) access counts -- the oracle's input."""
-        return sum(trace.counts for trace in self.traces)
+        """Whole-run (socket, page) access counts -- the oracle's input.
+
+        Built on demand as a dense int64 matrix and never kept: an
+        exact integer scatter-add of every phase's values.
+        """
+        first = self.traces[0].index
+        total = np.zeros(first.n_sockets * first.n_pages, dtype=np.int64)
+        for trace in self.traces:
+            # Flat cells are unique within a phase, so += cannot collide.
+            total[trace.index.flat] += trace.values
+        return total.reshape(first.shape)
 
 
 class Simulator:
@@ -386,7 +395,7 @@ class Simulator:
             fallback = BaselinePolicy(scaled, rng=rng)
 
             def decide(trace: PhaseTrace, page_map: PageMap) -> MigrationBatch:
-                region_counts = regions.aggregate_page_counts(trace.counts)
+                region_counts = regions.aggregate_page_counts(trace)
                 tracker.update(region_counts)
                 locations = regions.region_locations(page_map)
                 # The batch decided here executes during the *next* phase,
@@ -401,7 +410,7 @@ class Simulator:
                             scaled.migration_limit_pages, batch,
                         )
                     else:
-                        batch = fallback.decide(trace.counts, page_map)
+                        batch = fallback.decide(trace, page_map)
                     tracker.reset()
                     return batch
                 batch = policy.decide(tracker, locations, page_map)
@@ -413,7 +422,7 @@ class Simulator:
         policy = BaselinePolicy(scaled, rng=rng)
 
         def decide(trace: PhaseTrace, page_map: PageMap) -> MigrationBatch:
-            return policy.decide(trace.counts, page_map)
+            return policy.decide(trace, page_map)
 
         return decide
 

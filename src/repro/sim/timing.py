@@ -356,7 +356,7 @@ class PhaseTimingModel:
         key = self._classification_key
         if memo is not None and key in memo:
             return memo[key]
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         self.population, self.replication)
         if memo is not None:
             memo[key] = classification
@@ -531,7 +531,7 @@ class PhaseTimingModel:
         # second-order error of not re-evaluating it inside the fixed
         # point is negligible (stalls are a small AMAT term).
         duration = self._duration_ns(self.population.profile.ipc_16, trace)
-        costs = self.cost_model.costs_for(batch, trace.counts, duration)
+        costs = self.cost_model.costs_for(batch, trace, duration)
         threads = self.system.cores_per_socket * self.topology.n_sockets
         extra_cpi = costs.shootdown_cycles / (
             trace.instructions_per_thread * threads

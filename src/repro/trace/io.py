@@ -8,8 +8,12 @@ Pin tool) instead of the synthesizer:
 * :func:`save_phase_traces` / :func:`load_phase_traces` -- a compressed
   ``.npz`` bundle of per-phase count matrices plus metadata;
 * :func:`records_to_phase_trace` -- aggregate raw per-access records
-  (socket, page, is_write) into the count matrix the pipeline consumes,
+  (socket, page, is_write) into the phase counts the pipeline consumes,
   which is all an external tracer needs to produce.
+
+On disk a phase is a dense int64 matrix (format v1); in memory it is
+sparse, indexed by the matrix's own nonzeros, so loading needs no
+population.
 """
 
 from __future__ import annotations
@@ -29,13 +33,10 @@ def save_phase_traces(traces: List[PhaseTrace],
     """Write a phase-trace bundle as compressed ``.npz``."""
     if not traces:
         raise ValueError("need at least one phase trace")
-    shapes = {trace.counts.shape for trace in traces}
+    shapes = {trace.index.shape for trace in traces}
     if len(shapes) != 1:
         raise ValueError(f"inconsistent count shapes: {shapes}")
-    arrays = {
-        f"counts_{trace.phase}": trace.counts.astype(np.int64)
-        for trace in traces
-    }
+    arrays = {f"counts_{trace.phase}": trace.dense() for trace in traces}
     arrays["phases"] = np.array([trace.phase for trace in traces],
                                 dtype=np.int64)
     arrays["instructions"] = np.array(
@@ -57,11 +58,9 @@ def load_phase_traces(path: Union[str, Path]) -> List[PhaseTrace]:
         phases = bundle["phases"]
         instructions = bundle["instructions"]
         traces = [
-            PhaseTrace(
-                phase=int(phase),
-                counts=bundle[f"counts_{int(phase)}"],
-                instructions_per_thread=int(instr),
-            )
+            PhaseTrace.from_dense(int(phase),
+                                  bundle[f"counts_{int(phase)}"],
+                                  int(instr))
             for phase, instr in zip(phases, instructions)
         ]
     traces.sort(key=lambda trace: trace.phase)
@@ -71,7 +70,7 @@ def load_phase_traces(path: Union[str, Path]) -> List[PhaseTrace]:
 def records_to_phase_trace(records: Iterable[TraceRecord], n_sockets: int,
                            n_pages: int, instructions_per_thread: int,
                            phase: int = 0) -> PhaseTrace:
-    """Aggregate raw access records into a phase count matrix.
+    """Aggregate raw access records into one phase's counts.
 
     This is the ingestion point for external tracers: anything that can
     emit (socket, page) pairs for LLC-missing accesses can drive the
@@ -84,5 +83,4 @@ def records_to_phase_trace(records: Iterable[TraceRecord], n_sockets: int,
         if not 0 <= record.page < n_pages:
             raise ValueError(f"record page {record.page} out of range")
         counts[record.socket, record.page] += 1
-    return PhaseTrace(phase=phase, counts=counts,
-                      instructions_per_thread=instructions_per_thread)
+    return PhaseTrace.from_dense(phase, counts, instructions_per_thread)

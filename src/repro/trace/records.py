@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.workloads.cells import CountIndex
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -18,44 +20,99 @@ class TraceRecord:
     is_write: bool
 
 
+_INT32 = np.iinfo(np.int32)
+
+
+def narrow_counts(values: np.ndarray) -> np.ndarray:
+    """``values`` as int32 if every count fits, else as int64.
+
+    Counts are Poisson draws around rates capped at
+    ``accesses_cap_per_socket`` (2e9), and a draw can exceed its mean,
+    so the cast is checked: a phase keeps int64 rather than wrap.
+    """
+    if values.size and (values.max() > _INT32.max
+                        or values.min() < _INT32.min):
+        return values.astype(np.int64, copy=False)
+    return values.astype(np.int32)
+
+
 @dataclass
 class PhaseTrace:
-    """Aggregated access counts of one phase.
+    """Aggregated access counts of one phase, in sparse (COO) layout.
 
-    ``counts[s, p]`` is the number of LLC-missing accesses socket ``s``
-    issued to page ``p`` during the phase. ``instructions_per_thread`` is
-    the phase length in dynamic instructions (one billion in the paper's
-    setup).
+    ``values[i]`` is the number of LLC-missing accesses socket
+    ``index.sockets[i]`` issued to page ``index.pages[i]`` during the
+    phase; cells outside ``index`` hold zero. A synthesized phase is
+    aligned to its population's :attr:`~PagePopulation.index`, so all
+    phases of a workload share one index. ``instructions_per_thread``
+    is the phase length in dynamic instructions (one billion in the
+    paper's setup).
     """
 
     phase: int
-    counts: np.ndarray
+    index: CountIndex
+    values: np.ndarray
     instructions_per_thread: int
 
     def __post_init__(self) -> None:
-        if self.counts.ndim != 2:
-            raise ValueError("counts must be (n_sockets, n_pages)")
+        if self.values.shape != (self.index.size,):
+            raise ValueError("values must align with the count index")
         if self.instructions_per_thread <= 0:
             raise ValueError("phase length must be positive")
 
+    @classmethod
+    def from_dense(cls, phase: int, counts: np.ndarray,
+                   instructions_per_thread: int) -> "PhaseTrace":
+        """A phase from a dense ``(n_sockets, n_pages)`` count matrix.
+
+        The index is the matrix's own nonzeros, so no population is
+        needed (trace files, external tracers).
+        """
+        counts = np.asarray(counts)
+        if counts.ndim != 2:
+            raise ValueError("counts must be (n_sockets, n_pages)")
+        index = CountIndex.from_mask(counts != 0)
+        return cls(phase=phase, index=index,
+                   values=narrow_counts(counts.ravel()[index.flat]),
+                   instructions_per_thread=instructions_per_thread)
+
     @property
     def n_sockets(self) -> int:
-        return int(self.counts.shape[0])
+        return self.index.n_sockets
 
     @property
     def n_pages(self) -> int:
-        return int(self.counts.shape[1])
+        return self.index.n_pages
 
     @property
     def total_accesses(self) -> int:
-        return int(self.counts.sum())
+        return int(self.values.sum(dtype=np.int64))
+
+    def dense(self) -> np.ndarray:
+        """The int64 ``(n_sockets, n_pages)`` count matrix."""
+        return self.index.dense(self.values)
+
+    def columns(self, pages: np.ndarray) -> np.ndarray:
+        """``dense()[:, pages]``, densifying only those columns."""
+        return self.index.columns(self.values, pages)
+
+    def at_sockets(self, sockets: np.ndarray) -> np.ndarray:
+        """Per page ``p``, the count at cell ``(sockets[p], p)``."""
+        return self.index.at_sockets(self.values, sockets)
 
     def accesses_per_socket(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        return self._reduce(self.index.sockets, self.n_sockets)
 
     def page_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+        return self._reduce(self.index.pages, self.n_pages)
 
-    def touched_mask(self) -> np.ndarray:
-        """Boolean (n_sockets, n_pages): who touched what this phase."""
-        return self.counts > 0
+    def page_peaks(self) -> np.ndarray:
+        """Per page, the largest count any one socket issued."""
+        peaks = np.zeros(self.n_pages, dtype=self.values.dtype)
+        np.maximum.at(peaks, self.index.pages, self.values)
+        return peaks.astype(np.int64)
+
+    def _reduce(self, bins: np.ndarray, n_bins: int) -> np.ndarray:
+        # Float64 bins of integer counts are exact far past any phase.
+        return np.bincount(bins, weights=self.values,
+                           minlength=n_bins).astype(np.int64)

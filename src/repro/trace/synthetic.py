@@ -6,12 +6,12 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.trace.records import PhaseTrace, TraceRecord
+from repro.trace.records import PhaseTrace, TraceRecord, narrow_counts
 from repro.workloads.population import PagePopulation
 
 
 class TraceSynthesizer:
-    """Draws per-phase access-count matrices for one workload instance.
+    """Draws per-phase access counts for one workload instance.
 
     Each socket issues ``instructions_per_thread x threads_per_socket x
     MPKI / 1000`` LLC-missing accesses per phase, distributed over its
@@ -55,13 +55,23 @@ class TraceSynthesizer:
         return rates / rates.sum(axis=1, keepdims=True)
 
     def synthesize_phase(self, phase: int) -> PhaseTrace:
-        """Sample the count matrix of one phase."""
+        """Sample the counts of one phase at the population's sharer cells.
+
+        Rates are zero off the membership, and ``Generator.poisson``
+        consumes no stream for a zero rate, so drawing only the member
+        cells in row-major order yields exactly the values a draw over
+        the dense rate matrix would. The values are drawn directly, not
+        sliced from a dense count matrix: freeing such a matrix can
+        leave heap memory that glibc does not hand back.
+        """
         rng = np.random.default_rng((self.seed, phase, 0xacce55))
-        expected = self.phase_rates(phase) * self.accesses_per_socket
-        counts = rng.poisson(expected).astype(np.int64)
+        index = self.population.index
+        expected = (self.phase_rates(phase).ravel()[index.flat]
+                    * self.accesses_per_socket)
         return PhaseTrace(
             phase=phase,
-            counts=counts,
+            index=index,
+            values=narrow_counts(rng.poisson(expected)),
             instructions_per_thread=self.instructions_per_thread,
         )
 

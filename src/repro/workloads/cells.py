@@ -1,0 +1,203 @@
+"""Sparse (COO) layout of per-(socket, page) access counts.
+
+A socket only ever touches the pages it shares, and most pages are
+shared by a few sockets (Section II, Fig. 2), so a dense
+``(n_sockets, n_pages)`` count matrix is mostly zeros by construction.
+A :class:`CountIndex` lists the cells that may be nonzero in flat
+row-major order; a phase then stores only the values aligned to it.
+
+Visiting the values in index order visits cells in exactly the order a
+row-major pass over the dense matrix does, minus cells that hold zero.
+A sequential sum such as ``np.bincount`` therefore gives bit-identical
+bins on either layout: adding ``+0.0`` never changes a float.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import TYPE_CHECKING, Tuple
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from repro.workloads.population import PagePopulation
+
+
+def popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each uint32 mask, by SWAR bit-slicing.
+
+    ``np.bitwise_count`` needs numpy 2; this runs on any supported numpy
+    with no temporary wider than the masks.
+    """
+    bits = masks.astype(np.uint32)
+    bits -= (bits >> 1) & 0x55555555
+    bits = (bits & 0x33333333) + ((bits >> 2) & 0x33333333)
+    bits = (bits + (bits >> 4)) & 0x0F0F0F0F
+    return ((bits * 0x01010101) >> 24).astype(np.int16)
+
+
+class CountIndex:
+    """The (socket, page) cells of a count layout, in row-major order.
+
+    ``sockets`` and ``pages`` are the cells' coordinates; their flat
+    offsets into the dense matrix (:attr:`flat`) strictly increase.
+    """
+
+    def __init__(self, n_sockets: int, n_pages: int, flat: np.ndarray):
+        self.n_sockets = int(n_sockets)
+        self.n_pages = int(n_pages)
+        self.sockets, self.pages = np.divmod(
+            np.asarray(flat, dtype=np.int64), self.n_pages)
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "CountIndex":
+        """The cells where a boolean ``(n_sockets, n_pages)`` mask is set."""
+        if mask.ndim != 2:
+            raise ValueError("mask must be (n_sockets, n_pages)")
+        return cls(mask.shape[0], mask.shape[1], np.flatnonzero(mask))
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.n_sockets, self.n_pages
+
+    @property
+    def size(self) -> int:
+        return int(self.pages.size)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """Flat row-major offsets of the cells (computed, not stored)."""
+        return self.sockets * self.n_pages + self.pages
+
+    @cached_property
+    def row_bounds(self) -> np.ndarray:
+        """Where each socket's row starts in the entries, plus the end."""
+        return np.searchsorted(self.sockets,
+                               np.arange(self.n_sockets + 1))
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The int64 ``(n_sockets, n_pages)`` matrix of ``values``."""
+        out = np.zeros(self.n_sockets * self.n_pages, dtype=np.int64)
+        out[self.flat] = values
+        return out.reshape(self.shape)
+
+    def columns(self, values: np.ndarray, pages: np.ndarray) -> np.ndarray:
+        """``dense(values)[:, pages]``, densifying only those columns.
+
+        Reads only the entries of ``pages`` (through the page-major
+        order), so its cost follows the columns asked for, not the
+        whole index. The block is Fortran-ordered, as column indexing
+        lays it out, so float sums over it round identically.
+        """
+        pages = np.asarray(pages, dtype=np.int64)
+        order, starts = self._page_major
+        first = starts[pages]
+        lengths = starts[pages + 1] - first
+        ends = np.cumsum(lengths)
+        # Page-major slots of every requested cell, page after page.
+        slots = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+            first - ends + lengths, lengths)
+        entries = order[slots]
+        cells = (np.repeat(np.arange(pages.size) * self.n_sockets, lengths)
+                 + self.sockets[entries])
+        out = np.zeros(self.n_sockets * pages.size, dtype=np.int64)
+        out[cells] = values[entries]
+        return out.reshape((self.n_sockets, pages.size), order="F")
+
+    def at_sockets(self, values: np.ndarray,
+                   sockets: np.ndarray) -> np.ndarray:
+        """Per page ``p``, the int64 value at cell ``(sockets[p], p)``.
+
+        Zero where that cell is not in the index or ``sockets[p]`` is
+        negative (a pool location). A page's cells sit in socket order
+        in the page-major order, so the cell's slot is the page's start
+        plus the number of its sockets below ``sockets[p]``: one popcount
+        per page, never a pass over the entries.
+        """
+        if not self.size:
+            return np.zeros(self.n_pages, dtype=np.int64)
+        order, starts = self._page_major
+        masks = self._page_masks
+        on_socket = sockets >= 0
+        shift = np.where(on_socket, sockets, 0).astype(np.uint32)
+        held = on_socket & (((masks >> shift) & 1) == 1)
+        slots = starts[:-1] + popcount(
+            masks & ((np.uint32(1) << shift) - np.uint32(1)))
+        np.minimum(slots, self.size - 1, out=slots)
+        out = values[order[slots]].astype(np.int64)
+        out[~held] = 0
+        return out
+
+    @cached_property
+    def _page_masks(self) -> np.ndarray:
+        """Bitmask of the sockets each page has cells for."""
+        if self.n_sockets > 32:
+            raise ValueError(
+                f"{self.n_sockets} sockets: page masks are 32-bit (uint32)")
+        masks = np.zeros(self.n_pages, dtype=np.uint32)
+        np.bitwise_or.at(masks, self.pages,
+                         np.uint32(1) << self.sockets.astype(np.uint32))
+        return masks
+
+    @cached_property
+    def _page_major(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Entry order sorted by page, and each page's start in it."""
+        order = np.argsort(self.pages, kind="stable")
+        starts = np.zeros(self.n_pages + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.pages, minlength=self.n_pages),
+                  out=starts[1:])
+        return order, starts
+
+
+class SharerIndex(CountIndex):
+    """A population's sharer membership as a :class:`CountIndex`.
+
+    Built once per population (:attr:`PagePopulation.index`). Every
+    synthesized phase is aligned to it, and it caches what each phase's
+    classification would otherwise recompute: the dense membership as
+    float64 (for the pool-owner matmul), the per-page block-transfer
+    fractions, and per-entry gathers of those fractions and of the
+    write fractions.
+    """
+
+    def __init__(self, population: "PagePopulation"):
+        sockets = np.arange(population.n_sockets, dtype=np.uint32)
+        membership = ((population.sharer_mask[None, :]
+                       >> sockets[:, None]) & 1) == 1
+        super().__init__(population.n_sockets, population.n_pages,
+                         np.flatnonzero(membership))
+        #: Boolean ``(n_sockets, n_pages)``: who shares what.
+        self.membership = membership
+        self._sharer_mask = population.sharer_mask
+        self._coupling = population.profile.coupling
+        self._sharer_count = population.sharer_count
+        self._write_fraction = population.write_fraction
+
+    @cached_property
+    def _page_masks(self) -> np.ndarray:
+        return self._sharer_mask
+
+    @cached_property
+    def membership_f64(self) -> np.ndarray:
+        return self.membership.astype(np.float64)
+
+    @cached_property
+    def bt_fraction(self) -> np.ndarray:
+        """Per-page probability that a miss is served cache-to-cache.
+
+        Vectorized form of
+        :meth:`repro.coherence.transfers.SharingModel.block_transfer_fraction`.
+        """
+        sharers = self._sharer_count.astype(np.float64)
+        writes = self._write_fraction
+        intensity = writes * (2.0 - writes)
+        remote_writer = np.where(sharers > 1, (sharers - 1) / sharers, 0.0)
+        return np.minimum(1.0, self._coupling * intensity * remote_writer)
+
+    @cached_property
+    def entry_bt_fraction(self) -> np.ndarray:
+        return self.bt_fraction[self.pages]
+
+    @cached_property
+    def entry_write_fraction(self) -> np.ndarray:
+        return self._write_fraction[self.pages]

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.workloads.cells import SharerIndex, popcount as _popcount
 from repro.workloads.profile import WorkloadProfile
 
 
@@ -35,21 +37,18 @@ class PagePopulation:
     def n_pages(self) -> int:
         return int(self.sharer_mask.size)
 
-    def membership(self) -> np.ndarray:
-        """Boolean (n_sockets, n_pages) matrix of who shares what.
+    @cached_property
+    def index(self) -> SharerIndex:
+        """The population's sharer cells, built once.
 
-        Cached after the first call: the sharer masks never change once
-        a population is built, and the matrix sits on the per-phase
-        classification path of every timing evaluation.
+        Every synthesized phase stores its counts aligned to this index,
+        and it caches the per-population inputs of classification.
         """
-        cached = getattr(self, "_membership", None)
-        if cached is None:
-            sockets = np.arange(self.n_sockets, dtype=np.uint32)
-            cached = (
-                (self.sharer_mask[None, :] >> sockets[:, None]) & 1
-            ) == 1
-            self._membership = cached
-        return cached
+        return SharerIndex(self)
+
+    def membership(self) -> np.ndarray:
+        """Boolean (n_sockets, n_pages) matrix of who shares what."""
+        return self.index.membership
 
     def socket_access_rates(self) -> np.ndarray:
         """Per-socket access distribution over pages.
@@ -275,19 +274,6 @@ def _class_weights(access_fraction: float, size: int, skew: float,
     if shuffle:
         rng.shuffle(raw)
     return access_fraction * raw / raw.sum()
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Set bits of each uint32 mask, by SWAR bit-slicing.
-
-    ``np.bitwise_count`` needs numpy 2; this runs on any supported numpy
-    with no temporary wider than the masks.
-    """
-    bits = masks.astype(np.uint32)
-    bits -= (bits >> 1) & 0x55555555
-    bits = (bits & 0x33333333) + ((bits >> 2) & 0x33333333)
-    bits = (bits + (bits >> 4)) & 0x0F0F0F0F
-    return ((bits * 0x01010101) >> 24).astype(np.int16)
 
 
 def build_population(profile: WorkloadProfile, n_sockets: int = 16,

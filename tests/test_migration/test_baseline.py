@@ -6,6 +6,7 @@ import pytest
 from repro.config import MigrationConfig
 from repro.migration import BaselinePolicy
 from repro.placement import PageMap
+from repro.trace import PhaseTrace
 
 N_SOCKETS = 16
 
@@ -13,6 +14,10 @@ N_SOCKETS = 16
 def make_map(locations):
     return PageMap(np.array(locations, dtype=np.int16), N_SOCKETS,
                    has_pool=False)
+
+
+def sparse(counts):
+    return PhaseTrace.from_dense(0, counts, instructions_per_thread=1)
 
 
 def make_policy(**kwargs):
@@ -26,7 +31,7 @@ class TestMigrationDecisions:
         counts = np.zeros((N_SOCKETS, 1), dtype=np.int64)
         counts[0, 0] = 100
         counts[9, 0] = 500
-        batch = make_policy().decide(counts, page_map)
+        batch = make_policy().decide(sparse(counts), page_map)
         assert page_map.location_of(0) == 9
         assert batch.n_pages == 1
 
@@ -35,7 +40,7 @@ class TestMigrationDecisions:
         counts = np.zeros((N_SOCKETS, 1), dtype=np.int64)
         counts[0, 0] = 100
         counts[9, 0] = 110  # only 1.1x better: below the 1.25x bar
-        batch = make_policy().decide(counts, page_map)
+        batch = make_policy().decide(sparse(counts), page_map)
         assert batch.n_pages == 0
         assert page_map.location_of(0) == 0
 
@@ -43,7 +48,7 @@ class TestMigrationDecisions:
         page_map = make_map([0])
         counts = np.zeros((N_SOCKETS, 1), dtype=np.int64)
         counts[9, 0] = 10  # hot ratio but tiny volume
-        batch = make_policy().decide(counts, page_map)
+        batch = make_policy().decide(sparse(counts), page_map)
         assert batch.n_pages == 0
 
     def test_budget_spent_on_hottest(self):
@@ -51,7 +56,7 @@ class TestMigrationDecisions:
         counts = np.zeros((N_SOCKETS, 2), dtype=np.int64)
         counts[9, 0] = 1000
         counts[9, 1] = 5000
-        batch = make_policy(limit=1).decide(counts, page_map)
+        batch = make_policy(limit=1).decide(sparse(counts), page_map)
         assert batch.n_pages == 1
         assert page_map.location_of(1) == 9  # hotter page won the budget
         assert page_map.location_of(0) == 0
@@ -64,7 +69,7 @@ class TestMigrationDecisions:
         counts = np.zeros((N_SOCKETS, n_pages), dtype=np.int64)
         counts[8, :] = 1000
         counts[9, :] = 1000
-        make_policy().decide(counts, page_map)
+        make_policy().decide(sparse(counts), page_map)
         occupancy = page_map.occupancy()
         assert occupancy[8] + occupancy[9] == n_pages
         assert abs(int(occupancy[8]) - int(occupancy[9])) <= 2
@@ -74,7 +79,7 @@ class TestMigrationDecisions:
         counts = np.zeros((N_SOCKETS, 1), dtype=np.int64)
         counts[2, 0] = 100
         counts[11, 0] = 900
-        batch = make_policy().decide(counts, page_map)
+        batch = make_policy().decide(sparse(counts), page_map)
         move = batch.moves[0]
         assert move.source == 2
         assert move.destination == 11
@@ -83,8 +88,8 @@ class TestMigrationDecisions:
         policy = make_policy()
         page_map = make_map([0])
         counts = np.zeros((N_SOCKETS, 1), dtype=np.int64)
-        policy.decide(counts, page_map)
-        policy.decide(counts, page_map)
+        policy.decide(sparse(counts), page_map)
+        policy.decide(sparse(counts), page_map)
         assert policy.phases_run == 2
 
 
@@ -93,7 +98,7 @@ class TestValidation:
         page_map = make_map([0, 0])
         counts = np.zeros((N_SOCKETS, 3), dtype=np.int64)
         with pytest.raises(ValueError):
-            make_policy().decide(counts, page_map)
+            make_policy().decide(sparse(counts), page_map)
 
     def test_rejects_bad_hysteresis(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.migration import RegionTable
 from repro.placement import PageMap
+from repro.trace import PhaseTrace
 
 
 def map_of(locations):
@@ -51,7 +52,8 @@ class TestAggregation:
             [1, 2, 3, 4],
             [5, 6, 7, 8],
         ], dtype=np.int64)
-        regions = table.aggregate_page_counts(counts)
+        regions = table.aggregate_page_counts(
+            PhaseTrace.from_dense(0, counts, instructions_per_thread=1))
         # Region 0 holds pages {0,1}; region 1 holds {2,3}.
         assert regions[0, table.region_of(0)] == 3
         assert regions[1, table.region_of(2)] == 15
@@ -60,7 +62,8 @@ class TestAggregation:
     def test_rejects_mismatched_pages(self):
         table = RegionTable(map_of([0, 0]), pages_per_region=2)
         with pytest.raises(ValueError):
-            table.aggregate_page_counts(np.zeros((2, 5), dtype=np.int64))
+            table.aggregate_page_counts(PhaseTrace.from_dense(
+                0, np.zeros((2, 5), dtype=np.int64), 1))
 
 
 class TestLocations:

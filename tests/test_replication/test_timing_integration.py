@@ -26,7 +26,7 @@ class TestClassificationWithReplication:
     def test_all_replicated_means_all_local(self, world):
         setup, trace, page_map = world
         plan = self.full_plan(setup.population)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         setup.population, plan)
         demand = classification.demand
         off_diagonal = demand.sum() - np.trace(demand[:, :16])
@@ -37,7 +37,7 @@ class TestClassificationWithReplication:
     def test_total_accesses_preserved(self, world):
         setup, trace, page_map = world
         plan = self.full_plan(setup.population)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         setup.population, plan)
         assert classification.total_accesses == pytest.approx(
             float(trace.total_accesses)
@@ -46,10 +46,10 @@ class TestClassificationWithReplication:
     def test_replicated_writes_counted(self, world):
         setup, trace, page_map = world
         plan = self.full_plan(setup.population)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         setup.population, plan)
         expected = float(
-            (trace.counts * setup.population.write_fraction[None, :]).sum()
+            (trace.dense() * setup.population.write_fraction[None, :]).sum()
         )
         assert classification.replicated_writes == pytest.approx(
             expected, rel=1e-6
@@ -60,9 +60,9 @@ class TestClassificationWithReplication:
         mask = np.zeros(setup.population.n_pages, dtype=bool)
         mask[::2] = True
         plan = ReplicationPlan(replicated=mask, extra_copies=0)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         setup.population, plan)
-        bare = classify_phase(trace.counts, page_map, setup.population)
+        bare = classify_phase(trace, page_map, setup.population)
         assert classification.total_accesses == pytest.approx(
             bare.total_accesses
         )
@@ -73,7 +73,7 @@ class TestClassificationWithReplication:
         plan = ReplicationPlan(replicated=np.zeros(7, dtype=bool),
                                extra_copies=0)
         with pytest.raises(ValueError):
-            classify_phase(trace.counts, page_map, setup.population, plan)
+            classify_phase(trace, page_map, setup.population, plan)
 
 
 class TestEndToEnd:

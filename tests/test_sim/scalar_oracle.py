@@ -143,7 +143,7 @@ def amat_at(model, ipc, trace, classification, loads, stall_per_access):
 def evaluate(model, trace, page_map, calibration, batch=None,
              fixed_ipc=None, initial_ipc=None):
     """One phase of Step C: charge, then a damped per-phase fixed point."""
-    classification = classify_phase(trace.counts, page_map,
+    classification = classify_phase(trace, page_map,
                                     model.population, model.replication)
     loads = build_loads(model, classification, batch)
     stall_total_ns, extra_cpi = model._migration_overheads(trace, batch)

@@ -39,7 +39,7 @@ class TestClassifyPhase:
         trace = tiny_setup.traces[0]
         locations = np.zeros(trace.n_pages, dtype=np.int16)
         page_map = PageMap(locations, 16, True)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         tiny_setup.population)
         reconstructed = (classification.demand.sum()
                          + classification.bt_socket.sum()
@@ -53,7 +53,7 @@ class TestClassifyPhase:
         trace = tiny_setup.traces[0]
         locations = np.full(trace.n_pages, POOL_LOCATION, dtype=np.int16)
         page_map = PageMap(locations, 16, True)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         tiny_setup.population)
         assert classification.demand[:, :16].sum() == 0
         assert classification.demand_to_pool() > 0
@@ -63,7 +63,7 @@ class TestClassifyPhase:
         trace = tiny_setup.traces[0]
         locations = np.zeros(trace.n_pages, dtype=np.int16)
         page_map = PageMap(locations, 16, True)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         tiny_setup.population)
         assert classification.bt_pool.sum() == 0
         assert classification.bt_socket.sum() > 0
@@ -74,7 +74,7 @@ class TestClassifyPhase:
         trace = tiny_setup.traces[0]
         locations = np.zeros(trace.n_pages, dtype=np.int16)
         page_map = PageMap(locations, 16, True)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         tiny_setup.population)
         assert (classification.demand_writes
                 <= classification.demand + 1e-9).all()
@@ -83,7 +83,7 @@ class TestClassifyPhase:
         trace = tiny_setup.traces[0]
         locations = np.full(trace.n_pages, POOL_LOCATION, dtype=np.int16)
         page_map = PageMap(locations, 16, True)
-        classification = classify_phase(trace.counts, page_map,
+        classification = classify_phase(trace, page_map,
                                         tiny_setup.population)
         assert classification.bt_pool_owner.sum() == pytest.approx(
             classification.bt_pool.sum()
@@ -93,4 +93,4 @@ class TestClassifyPhase:
         trace = tiny_setup.traces[0]
         page_map = PageMap(np.zeros(10, dtype=np.int16), 16, True)
         with pytest.raises(ValueError):
-            classify_phase(trace.counts, page_map, tiny_setup.population)
+            classify_phase(trace, page_map, tiny_setup.population)

@@ -114,7 +114,7 @@ class TestLinkLoadEquivalence:
         page_map.move(np.arange(0, population.n_pages, 7), POOL_LOCATION)
 
         model = Simulator(star, setup).timing
-        classification = classify_phase(setup.traces[1].counts, page_map,
+        classification = classify_phase(setup.traces[1], page_map,
                                         population)
         loads = {
             "scalar": scalar_oracle.build_loads(model, classification),

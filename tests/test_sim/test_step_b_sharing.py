@@ -202,7 +202,7 @@ class TestSharedClassification:
                 trace, checkpoint.page_map,
                 checkpoint.classifications) is first
             self.assert_equal(first, classify_phase(
-                trace.counts, checkpoint.page_map, setup.population, plan))
+                trace, checkpoint.page_map, setup.population, plan))
 
     def test_plans_do_not_share_entries(self, setup):
         star = starnuma_config()

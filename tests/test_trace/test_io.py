@@ -27,9 +27,33 @@ class TestRoundTrip:
         assert len(restored) == len(traces)
         for original, loaded in zip(traces, restored):
             assert loaded.phase == original.phase
-            assert (loaded.counts == original.counts).all()
+            assert (loaded.dense() == original.dense()).all()
             assert (loaded.instructions_per_thread
                     == original.instructions_per_thread)
+
+    def test_bundle_format_unchanged(self, traces, tmp_path):
+        """Sparse in memory, still dense int64 v1 arrays on disk."""
+        path = tmp_path / "traces.npz"
+        save_phase_traces(traces, path)
+        with np.load(path) as bundle:
+            first = {key: (bundle[key].dtype, bundle[key].shape)
+                     for key in bundle.files}
+        assert sorted(first) == ["counts_0", "counts_1", "counts_2",
+                                 "instructions", "phases", "version"]
+        assert all(dtype == np.int64 for dtype, _ in first.values())
+        assert first["counts_0"][1] == traces[0].index.shape
+
+        # A loaded trace is indexed by its own nonzeros, not by any
+        # population, and writes back the same bundle.
+        restored = load_phase_traces(path)
+        assert restored[0].index is not traces[0].index
+        again = tmp_path / "again.npz"
+        save_phase_traces(restored, again)
+        with np.load(path) as before, np.load(again) as after:
+            assert sorted(after.files) == sorted(before.files)
+            for key in before.files:
+                assert after[key].dtype == before[key].dtype
+                assert np.array_equal(after[key], before[key])
 
     def test_phases_sorted_on_load(self, traces, tmp_path):
         path = tmp_path / "traces.npz"
@@ -42,8 +66,8 @@ class TestRoundTrip:
             save_phase_traces([], tmp_path / "x.npz")
 
     def test_rejects_mixed_shapes(self, traces, tmp_path):
-        odd = PhaseTrace(phase=9, counts=np.zeros((2, 2), dtype=np.int64),
-                         instructions_per_thread=100)
+        odd = PhaseTrace.from_dense(9, np.zeros((2, 2), dtype=np.int64),
+                                    instructions_per_thread=100)
         with pytest.raises(ValueError):
             save_phase_traces(traces + [odd], tmp_path / "x.npz")
 
@@ -67,8 +91,8 @@ class TestIngestion:
         records = [self.record(0, 3), self.record(0, 3), self.record(2, 1)]
         trace = records_to_phase_trace(records, n_sockets=4, n_pages=8,
                                        instructions_per_thread=1000)
-        assert trace.counts[0, 3] == 2
-        assert trace.counts[2, 1] == 1
+        assert trace.dense()[0, 3] == 2
+        assert trace.dense()[2, 1] == 1
         assert trace.total_accesses == 3
 
     def test_rejects_out_of_range_socket(self):
@@ -88,4 +112,4 @@ class TestIngestion:
         )
         assert trace.total_accesses == 2000
         member = tiny_population.membership()
-        assert trace.counts[~member].sum() == 0
+        assert trace.dense()[~member].sum() == 0

@@ -37,7 +37,7 @@ class TestDistributions:
     def test_nonsharers_never_access(self, synthesizer, tiny_population):
         trace = synthesizer.synthesize_phase(0)
         member = tiny_population.membership()
-        assert trace.counts[~member].sum() == 0
+        assert trace.dense()[~member].sum() == 0
 
     def test_hot_pages_get_more(self, synthesizer, tiny_population):
         trace = synthesizer.synthesize_phase(0)
@@ -67,13 +67,13 @@ class TestDeterminism:
     def test_same_seed_same_trace(self, tiny_population):
         a = TraceSynthesizer(tiny_population, 4, 1_000_000, seed=3)
         b = TraceSynthesizer(tiny_population, 4, 1_000_000, seed=3)
-        assert (a.synthesize_phase(2).counts
-                == b.synthesize_phase(2).counts).all()
+        assert (a.synthesize_phase(2).dense()
+                == b.synthesize_phase(2).dense()).all()
 
     def test_phases_differ(self, synthesizer):
         a = synthesizer.synthesize_phase(0)
         b = synthesizer.synthesize_phase(1)
-        assert not (a.counts == b.counts).all()
+        assert not (a.dense() == b.dense()).all()
 
     def test_synthesize_returns_sequential_phases(self, synthesizer):
         traces = synthesizer.synthesize(3)

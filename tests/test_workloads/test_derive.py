@@ -14,7 +14,7 @@ class TestDerivePopulation:
         structure: sharer sets and weight ranking."""
         synthesizer = TraceSynthesizer(tiny_population, 4, 4_000_000,
                                        seed=13)
-        totals = sum(trace.counts for trace in synthesizer.synthesize(4))
+        totals = sum(trace.dense() for trace in synthesizer.synthesize(4))
         touched = np.flatnonzero(totals.sum(axis=0) > 0)
         derived = derive_population(
             totals[:, touched], tiny_profile,

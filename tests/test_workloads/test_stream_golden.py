@@ -23,16 +23,17 @@ POPULATION_ARRAYS = ("sharer_mask", "sharer_count", "weight",
 
 
 def step_a_digest(setup):
-    """sha256 over every population array and every phase's counts."""
+    """sha256 over every population array and every phase's dense counts."""
     digest = hashlib.sha256()
     for name in POPULATION_ARRAYS:
         array = getattr(setup.population, name)
         digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
         digest.update(array.tobytes())
     for trace in setup.traces:
+        counts = trace.dense()
         digest.update(f"{trace.phase}:{trace.instructions_per_thread}:"
-                      f"{trace.counts.dtype.str}".encode())
-        digest.update(trace.counts.tobytes())
+                      f"{counts.dtype.str}".encode())
+        digest.update(counts.tobytes())
     return digest.hexdigest()
 
 
