@@ -373,9 +373,8 @@ class Simulator:
         scaled = dataclasses.replace(
             migration, migration_limit_pages=self.effective_migration_limit
         )
-        rng = np.random.default_rng((self.setup.seed, 0x9019))
-
         if self.topology.has_pool:
+            rng = np.random.default_rng((self.setup.seed, 0x9019))
             regions = RegionTable(initial_map, migration.pages_per_region)
             capacity = PoolCapacityManager(
                 self.setup.population.n_pages,
@@ -392,7 +391,7 @@ class Simulator:
                 regions, capacity, self.setup.population.sharer_mask,
                 self.system.n_sockets,
             )
-            fallback = BaselinePolicy(scaled, rng=rng)
+            fallback = BaselinePolicy(scaled)
 
             def decide(trace: PhaseTrace, page_map: PageMap) -> MigrationBatch:
                 region_counts = regions.aggregate_page_counts(trace)
@@ -419,7 +418,7 @@ class Simulator:
 
             return decide
 
-        policy = BaselinePolicy(scaled, rng=rng)
+        policy = BaselinePolicy(scaled)
 
         def decide(trace: PhaseTrace, page_map: PageMap) -> MigrationBatch:
             return policy.decide(trace, page_map)

@@ -22,7 +22,7 @@ def sparse(counts):
 
 def make_policy(**kwargs):
     config = MigrationConfig(migration_limit_pages=kwargs.pop("limit", 1000))
-    return BaselinePolicy(config, rng=np.random.default_rng(0), **kwargs)
+    return BaselinePolicy(config, **kwargs)
 
 
 class TestMigrationDecisions:
