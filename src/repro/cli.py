@@ -73,10 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="run up to N experiments in parallel worker "
                           "processes (default 1: sequential)")
-    run.add_argument("--batch-lanes", type=int, default=1, metavar="N",
-                     help="evaluate up to N compatible sweep points as one "
-                          "stacked fixed point (default 1: per-scenario; "
-                          "results are bit-identical either way)")
     _add_obs_arguments(run)
 
     export = sub.add_parser("export",
@@ -101,11 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run up to N experiments in parallel worker "
                              "processes (default 1: sequential)")
-    export.add_argument("--batch-lanes", type=int, default=1, metavar="N",
-                        help="evaluate up to N compatible sweep points as "
-                             "one stacked fixed point (default 1: "
-                             "per-scenario; outputs are byte-identical "
-                             "either way)")
     _add_obs_arguments(export)
 
     serve = sub.add_parser(
@@ -398,8 +389,6 @@ def _validate_common(args: argparse.Namespace) -> Optional[str]:
         return message
     if getattr(args, "jobs", 1) < 1:
         return f"--jobs must be >= 1 (got {args.jobs})"
-    if getattr(args, "batch_lanes", 1) < 1:
-        return f"--batch-lanes must be >= 1 (got {args.batch_lanes})"
     return None
 
 
@@ -428,7 +417,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_phases=args.phases,
         warmup_phases=args.warmup,
         workloads=args.workloads,
-        batch_lanes=args.batch_lanes,
     )
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [
         args.experiment
@@ -523,7 +511,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     context = ExperimentContext(
         seed=args.seed, n_phases=args.phases, warmup_phases=args.warmup,
         workloads=args.workloads,
-        batch_lanes=args.batch_lanes,
     )
     try:
         written = export_all(

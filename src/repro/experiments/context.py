@@ -48,22 +48,12 @@ class ExperimentContext:
 
     def __init__(self, seed: int = 1, n_phases: int = DEFAULT_PHASES,
                  warmup_phases: int = DEFAULT_WARMUP,
-                 workloads: Optional[Sequence[str]] = None,
-                 batch_lanes: int = 1):
+                 workloads: Optional[Sequence[str]] = None):
         if warmup_phases >= n_phases:
             raise ValueError("warmup must leave measured phases")
-        if batch_lanes < 1:
-            raise ValueError(f"batch_lanes must be >= 1, got {batch_lanes}")
         self.seed = seed
         self.n_phases = n_phases
         self.warmup_phases = warmup_phases
-        #: Sweep batching (``--batch-lanes``): with ``batch_lanes`` > 1,
-        #: :meth:`prefetch` evaluates groups of up to that many
-        #: compatible (system, workload) lanes as one stacked fixed
-        #: point (see :mod:`repro.sim.batch`). Results are bit-identical
-        #: to one-lane runs, so cached values are indistinguishable from
-        #: :meth:`run`'s.
-        self.batch_lanes = batch_lanes
         self._workload_names = list(workloads) if workloads else [
             profile.name for profile in all_workloads()
         ]
@@ -138,98 +128,6 @@ class ExperimentContext:
                 warmup_phases=self.warmup_phases,
             )
         return self._runs[key]
-
-    def prefetch(self, pairs: Sequence[Tuple[SystemConfig, str]],
-                 mode: str = "dynamic", scale: int = 1,
-                 phase_multiplier: int = 1) -> int:
-        """Warm the run cache by evaluating pairs as batched lane groups.
-
-        ``pairs`` is a sequence of (system, workload) combinations a
-        caller is about to :meth:`run`. Uncalibrated workloads are
-        calibrated first (their open-loop baseline passes batch too),
-        then every uncached closed-loop run is grouped by
-        :func:`repro.sim.batch.plan_groups` into stacked fixed points
-        of up to ``batch_lanes`` lanes. Every cached value is
-        bit-identical to what :meth:`run`/:meth:`calibration` would
-        have computed one lane at a time, so subsequent lookups -- and everything
-        exported from them -- are byte-identical. Returns the number of
-        lanes evaluated batched (0 when ``batch_lanes`` <= 1).
-        """
-        if self.batch_lanes <= 1:
-            return 0
-        from repro.metrics.calibration import calibrate_cpi
-        from repro.sim.batch import LaneSpec, plan_groups, run_lanes
-
-        def solve(specs: List[LaneSpec]):
-            for group in plan_groups(specs, self.batch_lanes):
-                members = [specs[i] for i in group]
-                yield from zip(members, run_lanes(members))
-
-        suffix = scale * 1000 + phase_multiplier
-        evaluated = 0
-
-        # Calibrations first: open-loop lanes on the baseline.
-        # Simulator.calibrate -> run uses run()'s default warmup of 2,
-        # so these lanes must too, for bit-identity.
-        calibration_specs: List[LaneSpec] = []
-        seen = set()
-        for _system, workload in pairs:
-            if workload in seen or (workload, suffix) in self._calibrations:
-                continue
-            seen.add(workload)
-            calibration_specs.append(LaneSpec(
-                simulator=self.simulator(self.baseline_system(scale),
-                                         workload, scale, phase_multiplier),
-                mode=mode,
-                fixed_ipc=self.profile(workload).ipc_16,
-                warmup_phases=2,
-            ))
-        for spec, open_loop in solve(calibration_specs):
-            system = spec.simulator.system
-            self._calibrations[(open_loop.workload, suffix)] = calibrate_cpi(
-                self.profile(open_loop.workload), open_loop.amat_ns,
-                system.core, system.latency.local_ns,
-            )
-            evaluated += 1
-
-        # Closed-loop runs, deduplicated by the run-cache key.
-        run_specs: List[LaneSpec] = []
-        run_keys: List[Tuple[str, str, str, int]] = []
-        for system, workload in pairs:
-            key = (system.name, workload, mode, suffix)
-            if key in self._runs or key in run_keys:
-                continue
-            run_keys.append(key)
-            run_specs.append(LaneSpec(
-                simulator=self.simulator(system, workload, scale,
-                                         phase_multiplier),
-                mode=mode,
-                calibration=self.calibration(workload, scale,
-                                             phase_multiplier),
-                warmup_phases=self.warmup_phases,
-            ))
-        index_of = {id(spec): key for spec, key in zip(run_specs, run_keys)}
-        for spec, result in solve(run_specs):
-            self._runs[index_of[id(spec)]] = result
-            evaluated += 1
-        return evaluated
-
-    def standard_pairs(self) -> List[Tuple[SystemConfig, str]]:
-        """The default-grid pairs most experiments evaluate.
-
-        Baseline plus both StarNUMA tracker variants over every
-        workload -- the grid of Fig. 8 and the prefix of most other
-        figures; prefetching it front-loads the bulk of an export.
-        """
-        from repro.config import TrackerKind
-
-        systems = [
-            self.baseline_system(),
-            self.starnuma_system(tracker=TrackerKind.T16),
-            self.starnuma_system(tracker=TrackerKind.T0),
-        ]
-        return [(system, workload) for workload in self._workload_names
-                for system in systems]
 
     def baseline_result(self, workload: str, scale: int = 1,
                         phase_multiplier: int = 1) -> SimulationResult:

@@ -19,7 +19,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.context import ExperimentContext, ExperimentResult
@@ -32,14 +32,6 @@ MANIFEST_SCHEMA_VERSION = 2
 #: Environment variables consulted (in order) for the source revision;
 #: the harness never shells out to git itself, CI injects the answer.
 _GIT_ENV_VARS = ("STARNUMA_GIT_DESCRIBE", "GITHUB_SHA")
-
-#: Experiments whose (system, workload) grids overlap the standard
-#: default-scale grid: with ``--batch-lanes`` > 1 they are scheduled as
-#: one lane group sharing a single batched prefetch of that grid.
-#: Experiments off the standard grid (scale sweeps, stretched phases,
-#: fault schedules) run per scenario, as always.
-BATCHABLE_EXPERIMENTS = ("fig2", "fig8", "fig9", "fig10", "fig11",
-                         "table3", "table4")
 
 
 def _git_describe() -> Optional[str]:
@@ -152,35 +144,10 @@ def export_all(out_dir: str, context: Optional[ExperimentContext] = None,
             stems[result.experiment] = result.experiment.replace(":", "_")
         return {"stems": stems}
 
-    plan_groups: Optional[
-        Callable[[Sequence[str]], List[List[str]]]] = None
-    run_group: Optional[
-        Callable[[List[str]], Dict[str, Optional[Dict[str, object]]]]] = None
-    if context.batch_lanes > 1:
-        def _plan_groups(pending: Sequence[str]) -> List[List[str]]:
-            batchable = [name for name in pending
-                         if name in BATCHABLE_EXPERIMENTS]
-            groups = [batchable] if len(batchable) > 1 else [
-                [name] for name in batchable]
-            groups.extend([name] for name in pending
-                          if name not in BATCHABLE_EXPERIMENTS)
-            return groups
-
-        def _run_group(members: List[str]
-                       ) -> Dict[str, Optional[Dict[str, object]]]:
-            # One stacked prefetch of the shared grid, then every
-            # member reads the warm cache; results are bit-identical
-            # to solo runs, so the exported files match byte for byte.
-            context.prefetch(context.standard_pairs())
-            return {name: run_one(name) for name in members}
-
-        plan_groups, run_group = _plan_groups, _run_group
-
     runner = SweepRunner(run_one, max_retries=max_retries,
                          backoff_s=backoff_s, timeout_s=timeout_s,
                          checkpoint=checkpoint, on_event=on_event,
-                         jobs=jobs, plan_groups=plan_groups,
-                         run_group=run_group)
+                         jobs=jobs)
     outcomes = runner.run(selected)
 
     written: Dict[str, str] = {}

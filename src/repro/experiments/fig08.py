@@ -40,16 +40,6 @@ def run(context: Optional[ExperimentContext] = None) -> Fig8Results:
     t16 = context.starnuma_system(tracker=TrackerKind.T16)
     t0 = context.starnuma_system(tracker=TrackerKind.T0)
 
-    if context.batch_lanes > 1:
-        # Evaluate the whole (system x workload) grid as stacked lane
-        # groups up front; the loop below then reads the warm cache.
-        # Results are bit-identical to solo runs (see repro.sim.batch).
-        context.prefetch([
-            (system, name)
-            for name in context.workload_names
-            for system in (context.baseline_system(), t16, t0)
-        ])
-
     speedup_rows: List[tuple] = []
     amat_rows: List[tuple] = []
     breakdown_rows: List[tuple] = []

@@ -101,12 +101,8 @@ def mdl_wait_ns_array(utilization: np.ndarray, service_ns: np.ndarray,
     at or below zero utilization -- so each element agrees with the
     scalar function to the last bit.
 
-    Shapes broadcast elementwise, so a stacked ``(lanes, slots)``
-    utilization matrix against a ``(slots,)`` service vector (and an
-    optional per-lane ``(lanes, 1)`` burstiness column) evaluates every
-    sweep lane in one call; each row is bit-identical to evaluating that
-    lane's ``(slots,)`` vectors alone, because every operation is
-    elementwise.
+    Shapes broadcast elementwise, and every operation is elementwise, so
+    each element's value depends only on its own inputs.
 
     When ``out`` is given the result is written into it and no float
     arrays are allocated (``scratch`` provides the one intermediate

@@ -50,16 +50,6 @@ CHECKPOINT_SCHEMA_VERSION = 2
 #: Schemas this code knows how to load.
 _SUPPORTED_CHECKPOINT_SCHEMAS = (1, 2)
 
-#: Backwards-compatible alias (pre-schema-rename name).
-CHECKPOINT_VERSION = CHECKPOINT_SCHEMA_VERSION
-
-#: Joins member task ids into one group unit id (lane-group scheduling).
-#: An ASCII unit separator, so it cannot collide with experiment names.
-GROUP_SEPARATOR = "\x1f"
-
-#: Key under which a group unit's payload carries its members' payloads.
-GROUP_PAYLOAD_KEY = "__group__"
-
 
 class TransientRunError(RuntimeError):
     """An error worth retrying (resource blips, flaky I/O...)."""
@@ -380,13 +370,7 @@ class SweepRunner:
                  sleep: Callable[[float], None] = time.sleep,
                  on_event: Optional[Callable[[str], None]] = None,
                  jobs: int = 1,
-                 policy: Optional[SupervisionPolicy] = None,
-                 plan_groups: Optional[
-                     Callable[[Sequence[str]], List[List[str]]]] = None,
-                 run_group: Optional[
-                     Callable[[List[str]],
-                              Dict[str, Optional[Dict[str, object]]]]]
-                 = None) -> None:
+                 policy: Optional[SupervisionPolicy] = None) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if backoff_s < 0:
@@ -396,17 +380,7 @@ class SweepRunner:
                 f"max_backoff_s must be >= 0, got {max_backoff_s}")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if (plan_groups is None) != (run_group is None):
-            raise ValueError(
-                "plan_groups and run_group must be given together")
-        self._base_run_task = run_task
-        self.plan_groups = plan_groups
-        self.run_group = run_group
-        # The dispatch wrapper routes group unit ids to run_group; the
-        # supervisor's workers call ``runner.run_task`` directly, so the
-        # wrapper must BE run_task for group units to work under jobs>1.
-        self.run_task = (self._dispatch if run_group is not None
-                         else run_task)
+        self.run_task = run_task
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.max_backoff_s = max_backoff_s
@@ -421,8 +395,6 @@ class SweepRunner:
         self.last_health: Optional[HealthReport] = None
 
     def run(self, task_ids: Sequence[str]) -> List[RunOutcome]:
-        if self.run_group is not None:
-            return self._run_grouped(task_ids)
         span = OBS.span("runner.sweep", tasks=len(task_ids), jobs=self.jobs)
         with span:
             if self.jobs > 1 and len(task_ids) > 1:
@@ -441,97 +413,6 @@ class SweepRunner:
                                     if o.status == "quarantined"),
                 )
             return outcomes
-
-    # -- lane groups ---------------------------------------------------------
-
-    def _dispatch(self, unit_id: str) -> Optional[Dict[str, object]]:
-        """Route one scheduling unit: a group id fans out to run_group."""
-        if GROUP_SEPARATOR in unit_id:
-            assert self.run_group is not None
-            members = unit_id.split(GROUP_SEPARATOR)
-            return {GROUP_PAYLOAD_KEY: self.run_group(members)}
-        return self._base_run_task(unit_id)
-
-    def _run_grouped(self, task_ids: Sequence[str]) -> List[RunOutcome]:
-        """Lane-group scheduling: compatible tasks run as one unit.
-
-        ``plan_groups`` partitions the *pending* (not yet checkpointed)
-        tasks into units; each multi-member unit runs through one
-        ``run_group`` call, whose per-member payloads are checkpointed
-        individually in member order -- so the checkpoint file is
-        byte-identical to a sequential, ungrouped sweep of the same
-        tasks. A unit that fails (or is quarantined under jobs>1)
-        falls back to running its members individually, isolating a
-        poison member to itself. The per-task timeout scales by the
-        largest group size while units are in flight.
-        """
-        span = OBS.span("runner.sweep", tasks=len(task_ids),
-                        jobs=self.jobs, grouped=True)
-        with span:
-            by_task: Dict[str, RunOutcome] = {}
-            pending: List[str] = []
-            for task_id in task_ids:
-                if GROUP_SEPARATOR in task_id:
-                    raise ValueError(
-                        f"task id {task_id!r} contains the group separator")
-                cached = self._cached_outcome(task_id)
-                if cached is not None:
-                    by_task[task_id] = cached
-                else:
-                    pending.append(task_id)
-            assert self.plan_groups is not None
-            groups = ([list(group) for group in self.plan_groups(pending)]
-                      if pending else [])
-            flattened = [member for group in groups for member in group]
-            if sorted(flattened) != sorted(pending):
-                raise ValueError(
-                    "plan_groups must partition the pending tasks")
-            units = [GROUP_SEPARATOR.join(group) for group in groups]
-            original_timeout = self.timeout_s
-            if self.timeout_s and groups:
-                self.timeout_s = self.timeout_s * max(
-                    len(group) for group in groups)
-            try:
-                if self.jobs > 1 and len(units) > 1:
-                    unit_outcomes = self._run_parallel(units)
-                else:
-                    unit_outcomes = [self._run_one(unit) for unit in units]
-            finally:
-                self.timeout_s = original_timeout
-            for group, outcome in zip(groups, unit_outcomes):
-                if len(group) == 1:
-                    by_task[group[0]] = outcome
-                    continue
-                payloads: Dict[str, object] = {}
-                if outcome.succeeded and outcome.payload:
-                    payloads = outcome.payload.get(GROUP_PAYLOAD_KEY) or {}
-                fallback = [member for member in group
-                            if member not in payloads]
-                for member in group:
-                    if member in payloads:
-                        by_task[member] = RunOutcome(
-                            task_id=member, status="ok",
-                            attempts=outcome.attempts,
-                            payload=payloads[member],  # type: ignore[arg-type]
-                        )
-                if fallback:
-                    OBS.counter("runner.group_fallback", len(fallback))
-                    self.on_event(
-                        f"group of {len(group)}: {len(fallback)} member(s) "
-                        f"unresolved; falling back per scenario")
-                    for member in fallback:
-                        by_task[member] = self._run_one(member)
-            if OBS.enabled:
-                span.set(
-                    units=len(units),
-                    ok=sum(1 for o in by_task.values()
-                           if o.status == "ok"),
-                    cached=sum(1 for o in by_task.values()
-                               if o.status == "cached"),
-                    failed=sum(1 for o in by_task.values()
-                               if o.status == "failed"),
-                )
-            return [by_task[task_id] for task_id in task_ids]
 
     # -- sequential ----------------------------------------------------------
 
@@ -656,24 +537,6 @@ class SweepRunner:
 
     def _record(self, outcome: RunOutcome) -> None:
         """Checkpoint one finished task (parent process only)."""
-        if GROUP_SEPARATOR in outcome.task_id:
-            # A group unit: successful members are checkpointed one by
-            # one under their own ids (so the checkpoint matches an
-            # ungrouped sweep byte for byte); a failed group is not
-            # recorded at all -- its members re-run individually and
-            # are recorded then.
-            members = outcome.task_id.split(GROUP_SEPARATOR)
-            payloads: Dict[str, object] = {}
-            if outcome.succeeded and outcome.payload:
-                payloads = outcome.payload.get(GROUP_PAYLOAD_KEY) or {}
-            for member in members:
-                if member in payloads:
-                    self._record(RunOutcome(
-                        task_id=member, status="ok",
-                        attempts=outcome.attempts,
-                        payload=payloads[member],  # type: ignore[arg-type]
-                    ))
-            return
         if outcome.status == "ok":
             if self.checkpoint is not None:
                 self.checkpoint.mark_completed(outcome.task_id,

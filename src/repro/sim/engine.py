@@ -32,9 +32,8 @@ from repro.migration import (
 from repro.obs import OBS
 from repro.placement import PoolCapacityManager, first_touch_placement
 from repro.placement.pagemap import PageMap
-from repro.sim.batch import LaneSpec, run_lanes
 from repro.sim.classification import PhaseClassification
-from repro.sim.results import SimulationResult
+from repro.sim.results import PhaseTiming, SimulationResult
 from repro.sim.timing import FixedPointSettings, PhaseTimingModel
 from repro.topology import RouteTable, Topology
 from repro.trace import PhaseTrace, TraceSynthesizer
@@ -61,9 +60,9 @@ class Checkpoint:
 
     ``classifications`` memoizes this phase's access classification
     under ``page_map``, keyed by replication plan (see
-    :meth:`~repro.sim.timing.PhaseTimingModel.classify`): every lane
+    :meth:`~repro.sim.timing.PhaseTimingModel.classify`): every run
     that reads the checkpoint -- other systems sharing its Step B, the
-    calibration lane, bottleneck analysis -- classifies it once.
+    calibration run, bottleneck analysis -- classifies it once.
     """
 
     phase: int
@@ -434,21 +433,44 @@ class Simulator:
             warmup_phases: int = 2) -> SimulationResult:
         """Run Step C over every checkpoint and aggregate.
 
-        This is a one-lane :func:`~repro.sim.batch.run_lanes`.
         ``fixed_ipc`` runs open-loop at that IPC (the calibration pass);
         otherwise ``calibration`` must be provided for the closed loop.
+        Each phase starts its fixed point from the previous phase's IPC.
         The first ``warmup_phases`` phases are simulated (they evolve the
         page map) but excluded from aggregates, standing in for the longer
         pre-steady-state execution of the real runs.
         """
-        spec = LaneSpec(self, mode=mode, static_map=static_map,
-                        calibration=calibration, fixed_ipc=fixed_ipc,
-                        warmup_phases=warmup_phases)
+        if fixed_ipc is None and calibration is None:
+            raise ValueError("closed-loop timing needs a calibration")
+        traces = self.setup.traces
+        if warmup_phases >= len(traces):
+            raise ValueError(
+                f"warmup ({warmup_phases}) must leave at least one "
+                f"measured phase of {len(traces)}"
+            )
+        timings: List[PhaseTiming] = []
+        previous: Optional[float] = None
         with OBS.span("sim.run", workload=self.setup.profile.name,
                       config=self.system.name, mode=mode,
-                      phases=len(self.setup.traces)):
-            (result,) = run_lanes([spec])
-        return result
+                      phases=len(traces)):
+            checkpoints = self.checkpoints(mode, static_map)
+            for trace, checkpoint in zip(traces, checkpoints):
+                timing = self._phase_timing_model(trace.phase)._run_phase(
+                    trace, checkpoint.page_map, calibration,
+                    batch=checkpoint.batch, fixed_ipc=fixed_ipc,
+                    initial_ipc=previous,
+                    classifications=checkpoint.classifications,
+                )
+                previous = timing.ipc
+                timings.append(timing)
+        demand_pages, pool_pages = _migration_totals(checkpoints)
+        return SimulationResult(
+            workload=self.setup.profile.name,
+            config_name=self.system.name,
+            phases=timings[warmup_phases:],
+            pages_migrated=demand_pages,
+            pages_migrated_to_pool=pool_pages,
+        )
 
     # -- calibration -----------------------------------------------------------
 
@@ -465,3 +487,19 @@ class Simulator:
             self.system.core,
             self.system.latency.local_ns,
         )
+
+
+def _migration_totals(checkpoints: List[Checkpoint]) -> Tuple[int, int]:
+    """(demand pages, pool pages) migrated over a run's checkpoints."""
+    demand_pages = 0
+    pool_pages = 0
+    for checkpoint in checkpoints:
+        if checkpoint.batch is None:
+            continue
+        for move in checkpoint.batch.moves:
+            if move.from_pool:
+                continue  # victim evictions are not demand migrations
+            demand_pages += move.n_pages
+            if move.to_pool:
+                pool_pages += move.n_pages
+    return demand_pages, pool_pages

@@ -16,22 +16,22 @@ The per-access latency of each class is its unloaded latency plus the
 queueing delay accumulated along its route (request and fill directions;
 DRAM queues are shared between directions and counted once).
 
-There is one fixed-point solver, :class:`_BatchedKernel`, which iterates
-a stack of lanes (sweep points) at once; a single phase of a single
-simulation is a one-lane stack (see :func:`evaluate_phases`).
+Every phase -- from :meth:`PhaseTimingModel.evaluate` or from
+:meth:`repro.sim.engine.Simulator.run` -- is solved by one fixed point,
+:meth:`PhaseTimingModel._fixed_point`, over that phase's
+:class:`PhaseInputs`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import CoreConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.config.parameters import CACHE_BLOCK_BYTES, PAGE_SIZE_BYTES
 from repro.interconnect.loads import MESSAGE_HEADER_BYTES, LinkLoads
 from repro.interconnect.queueing import mdl_wait_ns_array
@@ -258,7 +258,7 @@ class _VectorKernel:
 #: kernel is immutable after construction and reads nothing per-phase,
 #: so models whose route tables hash identically (e.g. consecutive
 #: fault states that reroute to the same surviving geometry, or the
-#: many sweep lanes sharing one config) can share one instance. Bounded
+#: many simulators of one config) can share one instance. Bounded
 #: LRU: a 16-socket kernel's matrices run to a few MB.
 _KERNEL_CACHE: "OrderedDict[str, _VectorKernel]" = OrderedDict()
 _KERNEL_CACHE_LIMIT = 16
@@ -310,8 +310,8 @@ class PhaseTimingModel:
         """The compiled array kernel of this model (built on first use).
 
         Resolved through the fingerprint-keyed module cache, so models
-        with identical route geometry (repeated fault states, sweep
-        lanes of one config) share one compiled kernel.
+        with identical route geometry (repeated fault states, simulators
+        of one config) share one compiled kernel.
         """
         if self._kernel is None:
             self._kernel = _compiled_kernel(self)
@@ -331,13 +331,40 @@ class PhaseTimingModel:
         loop is bypassed -- used for the calibration pass, where the
         baseline runs at its published IPC.
         """
-        (timing,) = evaluate_phases([PhaseRequest(
-            self, trace, page_map, calibration, batch=batch,
-            fixed_ipc=fixed_ipc, initial_ipc=initial_ipc,
-        )])
+        return self._run_phase(trace, page_map, calibration, batch=batch,
+                               fixed_ipc=fixed_ipc, initial_ipc=initial_ipc)
+
+    def _run_phase(self, trace: PhaseTrace, page_map: PageMap,
+                   calibration: Optional[CalibratedCpi],
+                   batch: Optional[MigrationBatch] = None,
+                   fixed_ipc: Optional[float] = None,
+                   initial_ipc: Optional[float] = None,
+                   classifications: Optional[
+                       Dict[Optional[str], PhaseClassification]] = None
+                   ) -> PhaseTiming:
+        """Step C for one phase: the one path into the fixed point.
+
+        Shared by :meth:`evaluate` and
+        :meth:`repro.sim.engine.Simulator.run`: one ``sim.phase`` span
+        around :meth:`phase_inputs`, :meth:`_fixed_point` and
+        :meth:`finish_phase`. ``classifications`` is the checkpoint's
+        classification memo (see :meth:`classify`).
+        """
+        with OBS.span("sim.phase", phase=trace.phase,
+                      loop="open" if fixed_ipc is not None else "closed"
+                      ) as span:
+            inputs = self.phase_inputs(trace, page_map, batch,
+                                       classifications)
+            solution = self._fixed_point(
+                inputs, calibration,
+                initial_ipc or self.population.profile.ipc_16, fixed_ipc)
+            timing = self.finish_phase(inputs, *solution)
+            span.set(ipc=timing.ipc,
+                     iterations=timing.fixed_point_iterations,
+                     converged=timing.converged)
         return timing
 
-    # -- the stacked-solve seam ------------------------------------------------
+    # -- the phase pipeline ------------------------------------------------
 
     def classify(self, trace: PhaseTrace, page_map: PageMap,
                  memo: Optional[
@@ -367,12 +394,12 @@ class PhaseTimingModel:
                      classifications: Optional[
                          Dict[Optional[str], PhaseClassification]] = None
                      ) -> "PhaseInputs":
-        """Collect one phase's IPC-independent state for a stacked solve.
+        """Collect one phase's IPC-independent state for the solve.
 
         Performs classification (memoized in ``classifications``, see
         :meth:`classify`), link charging, and the per-phase
         contractions -- everything except the fixed point itself.
-        Pairs with :meth:`batched_lane` and :meth:`finish_phase`.
+        Pairs with :meth:`_fixed_point` and :meth:`finish_phase`.
         """
         classification = self.classify(trace, page_map, classifications)
         with OBS.span("sim.charge", phase=trace.phase):
@@ -406,31 +433,96 @@ class PhaseTimingModel:
             replication_penalty_ns=penalty,
         )
 
-    def batched_lane(self, inputs: "PhaseInputs",
+    def _fixed_point(self, inputs: "PhaseInputs",
                      calibration: Optional[CalibratedCpi],
-                     initial_ipc: Optional[float] = None,
-                     fixed_ipc: Optional[float] = None) -> "BatchedLane":
-        """Package :meth:`phase_inputs` output as one stacked-solver lane."""
+                     initial_ipc: float,
+                     fixed_ipc: Optional[float] = None
+                     ) -> Tuple[float, float, float, int, bool]:
+        """The damped AMAT<->IPC loop of one phase.
+
+        Returns ``(ipc, amat_ns, unloaded_ns, iterations, converged)``.
+        Per iteration the IPC guess fixes the window, hence every slot's
+        utilization and M/D/1 wait (into buffers allocated once per
+        phase), hence the loaded AMAT; the calibrated CPI model then
+        gives the next IPC. The scalar tail inlines the
+        ``CalibratedCpi.ipc`` / ``CoreConfig`` call chains as Python
+        floats with the identical expressions (``ns * f``, ``c / f``,
+        ``1 / (cpi_core + k * amat**alpha + extra)``). With
+        ``fixed_ipc`` (open loop) the first AMAT is the answer.
+
+        With obs armed, a closed loop's relative-step trajectory is
+        emitted as a detail-level ``sim.fixed_point`` record; the
+        iteration itself is byte-identical either way.
+        """
+        settings = self.settings
         index = self.topology.link_index()
-        return BatchedLane(
-            phase=inputs.trace.phase,
-            n_slots=index.n_slots,
-            weighted_unloaded=inputs.weighted_unloaded,
-            total=float(inputs.classification.total_accesses),
-            stall_per_access=inputs.stall_per_access,
-            replication_penalty_ns=inputs.replication_penalty_ns,
-            extra_cpi=inputs.extra_cpi,
-            local_ns=self.system.latency.local_ns,
-            instructions_per_thread=inputs.trace.instructions_per_thread,
-            core=self.system.core,
-            calibration=calibration,
-            initial_ipc=initial_ipc or self.population.profile.ipc_16,
-            fixed_ipc=fixed_ipc,
-            charge=inputs.charge,
-            bytes_vec=inputs.loads.bytes_vector,
-            capacity=index.capacity_gbps,
-            service=index.service_ns,
-        )
+        capacity, service = index.capacity_gbps, index.service_ns
+        bytes_vec, charge = inputs.loads.bytes_vector, inputs.charge
+        freq = self.system.core.frequency_ghz
+        instructions = inputs.trace.instructions_per_thread
+        total = float(inputs.classification.total_accesses)
+        weighted_unloaded = inputs.weighted_unloaded
+        stall = inputs.stall_per_access
+        replication = inputs.replication_penalty_ns
+        # The unloaded AMAT never depends on the IPC guess.
+        if total == 0:
+            unloaded_ns = self.system.latency.local_ns
+        else:
+            unloaded_ns = weighted_unloaded / total
+            if replication:
+                unloaded_ns += replication
+        wincap = np.empty_like(capacity)
+        util = np.empty_like(capacity)
+        wait = np.empty_like(capacity)
+        scratch = np.empty_like(capacity)
+        mask = np.empty(capacity.shape, dtype=np.bool_)
+        damping = settings.damping
+        undamped = 1.0 - settings.damping
+        residuals: Optional[List[float]] = [] if OBS.enabled else None
+        ipc = fixed_ipc if fixed_ipc is not None else initial_ipc
+        amat_ns = 0.0
+        for iteration in range(1, settings.max_iterations + 1):
+            if total == 0:
+                amat_ns = unloaded_ns  # the local latency
+            else:
+                window = (instructions / ipc) / freq
+                np.multiply(window, capacity, out=wincap)
+                np.divide(bytes_vec, wincap, out=util)
+                mdl_wait_ns_array(util, service,
+                                  burstiness=settings.burstiness,
+                                  out=wait, scratch=scratch, mask=mask)
+                queueing_ns = float(np.dot(charge, wait))
+                amat_ns = (weighted_unloaded + queueing_ns) / total + stall
+                if replication:
+                    amat_ns += replication
+            if fixed_ipc is not None:
+                return ipc, amat_ns, unloaded_ns, 0, True
+            assert calibration is not None  # checked by Simulator.run
+            target = 1.0 / (
+                calibration.cpi_core
+                + calibration.k_mem * (amat_ns * freq) ** calibration.alpha
+                + inputs.extra_cpi
+            )
+            new_ipc = damping * target + undamped * ipc
+            if residuals is not None:
+                residuals.append(abs(new_ipc - ipc) / ipc)
+            if abs(new_ipc - ipc) <= settings.tolerance * ipc:
+                self._emit_residuals(inputs, iteration, True, residuals)
+                return new_ipc, amat_ns, unloaded_ns, iteration, True
+            ipc = new_ipc
+        self._emit_residuals(inputs, settings.max_iterations, False,
+                             residuals)
+        return ipc, amat_ns, unloaded_ns, settings.max_iterations, False
+
+    @staticmethod
+    def _emit_residuals(inputs: "PhaseInputs", iterations: int,
+                        converged: bool,
+                        residuals: Optional[List[float]]) -> None:
+        """Detail-level provenance of one closed-loop solve."""
+        if residuals is not None:
+            OBS.detail("sim.fixed_point", phase=inputs.trace.phase,
+                       iterations=iterations, converged=converged,
+                       residuals=residuals)
 
     def finish_phase(self, inputs: "PhaseInputs", ipc: float,
                      amat_ns: float, unloaded_ns: float,
@@ -560,73 +652,6 @@ class PhaseTimingModel:
         return breakdown
 
 
-# -- the stacked solve ---------------------------------------------------------
-
-
-@dataclass
-class PhaseRequest:
-    """One lane's phase for :func:`evaluate_phases`.
-
-    The arguments of :meth:`PhaseTimingModel.evaluate`, plus the model.
-    """
-
-    model: PhaseTimingModel
-    trace: PhaseTrace
-    page_map: PageMap
-    calibration: Optional[CalibratedCpi]
-    batch: Optional[MigrationBatch] = None
-    fixed_ipc: Optional[float] = None
-    initial_ipc: Optional[float] = None
-    #: The checkpoint's classification memo (see
-    #: :meth:`PhaseTimingModel.classify`); None classifies afresh.
-    classifications: Optional[Dict[Optional[str], PhaseClassification]] = None
-
-
-def evaluate_phases(requests: Sequence[PhaseRequest]) -> List[PhaseTiming]:
-    """Run Step C for one phase of every lane in a group, in order.
-
-    Each lane is charged (:meth:`PhaseTimingModel.phase_inputs`), all
-    lanes are solved by one stacked fixed point, and each is finished
-    (:meth:`PhaseTimingModel.finish_phase`). The group's loop shape comes
-    from the first lane's settings; lanes must agree on it (see
-    :func:`repro.sim.batch.lane_signature`).
-
-    Every lane gets exactly one ``sim.phase`` span. The spans of a group
-    nest: lane ``k``'s opens just before its own charge, and all of them
-    close after the shared solve and every lane's finish. Each lane's
-    span therefore contains the whole shared solve; for a one-lane group
-    the span is exactly the phase's Step C.
-    """
-    settings = requests[0].model.settings
-    with ExitStack() as stack:
-        spans, inputs, lanes = [], [], []
-        for request in requests:
-            spans.append(stack.enter_context(OBS.span(
-                "sim.phase", phase=request.trace.phase,
-                loop="open" if request.fixed_ipc is not None else "closed",
-            )))
-            phase_inputs = request.model.phase_inputs(
-                request.trace, request.page_map, request.batch,
-                request.classifications,
-            )
-            inputs.append(phase_inputs)
-            lanes.append(request.model.batched_lane(
-                phase_inputs, request.calibration,
-                initial_ipc=request.initial_ipc,
-                fixed_ipc=request.fixed_ipc,
-            ))
-        solutions = _BatchedKernel(lanes, settings).solve()
-        timings = []
-        for request, phase_inputs, span, solution in zip(
-                requests, inputs, spans, solutions):
-            timing = request.model.finish_phase(phase_inputs, *solution)
-            span.set(ipc=timing.ipc,
-                     iterations=timing.fixed_point_iterations,
-                     converged=timing.converged)
-            timings.append(timing)
-    return timings
-
-
 @dataclass
 class PhaseInputs:
     """IPC-independent pieces of one phase's Step-C evaluation.
@@ -644,274 +669,3 @@ class PhaseInputs:
     stall_per_access: float
     extra_cpi: float
     replication_penalty_ns: float
-
-
-@dataclass
-class BatchedLane:
-    """One lane (sweep point) of a stacked fixed point, for one phase.
-
-    Array fields hold the lane's *unpadded* per-slot vectors (length
-    ``n_slots``); the solver pads to the group width with exact-zero
-    contributions (bytes/charge 0, capacity/service 1, so utilization
-    and wait are 0 on padded slots). ``fixed_ipc`` marks an open-loop
-    (calibration) lane.
-    """
-
-    phase: int
-    n_slots: int
-    weighted_unloaded: float
-    total: float
-    stall_per_access: float
-    replication_penalty_ns: float
-    extra_cpi: float
-    local_ns: float
-    instructions_per_thread: float
-    core: "CoreConfig"
-    calibration: Optional[CalibratedCpi]
-    initial_ipc: float
-    fixed_ipc: Optional[float]
-    charge: np.ndarray
-    bytes_vec: np.ndarray
-    capacity: np.ndarray
-    service: np.ndarray
-
-
-class _BatchedKernel:
-    """Masked, stacked fixed point across the lanes of one phase.
-
-    Stacks every lane's per-slot byte/capacity/service/charge vectors
-    into ``(lanes, width)`` matrices (padded as described on
-    :class:`BatchedLane`) and iterates the damped AMAT<->IPC loop over
-    all lanes at once: per iteration, one gathered elementwise
-    utilization -> waiting-time evaluation over the still-active rows,
-    then a per-lane scalar tail. Converged lanes are masked out of the
-    next iteration's gather instead of exiting the loop.
-
-    The matrix stage is elementwise (each row sees exactly the
-    arithmetic it would see alone) and the reduction is one batched
-    ``(lanes, 1, width) @ (lanes, width, 1)`` matmul whose per-row BLAS
-    kernel is the same ddot a one-lane stack runs (per-lane sliced dots
-    when lane widths differ). Every lane's result is therefore
-    bit-identical whatever other lanes share the stack -- which keeps
-    sweep checkpoints and exports byte-identical across lane groupings.
-    """
-
-    def __init__(self, lanes: Sequence[BatchedLane],
-                 settings: FixedPointSettings):
-        if not lanes:
-            raise ValueError("batched kernel needs at least one lane")
-        self.lanes = list(lanes)
-        self.settings = settings
-        n = len(self.lanes)
-        self.width = max(lane.n_slots for lane in self.lanes)
-        shape = (n, self.width)
-        self.bytes = np.zeros(shape, dtype=np.float64)
-        self.capacity = np.ones(shape, dtype=np.float64)
-        self.service = np.ones(shape, dtype=np.float64)
-        self.charge = np.zeros(shape, dtype=np.float64)
-        for row, lane in enumerate(self.lanes):
-            s = lane.n_slots
-            self.bytes[row, :s] = lane.bytes_vec
-            self.capacity[row, :s] = lane.capacity
-            self.service[row, :s] = lane.service
-            self.charge[row, :s] = lane.charge
-        # Iteration scratch, allocated once per solver and reused by
-        # every iteration's gather/evaluate.
-        self._gather_bytes = np.empty(shape, dtype=np.float64)
-        self._gather_cap = np.empty(shape, dtype=np.float64)
-        self._gather_service = np.empty(shape, dtype=np.float64)
-        self._util = np.empty(shape, dtype=np.float64)
-        self._wait = np.empty(shape, dtype=np.float64)
-        self._tmp = np.empty(shape, dtype=np.float64)
-        self._mask = np.empty(shape, dtype=np.bool_)
-        self._windows = np.empty(n, dtype=np.float64)
-        self._wincap = np.empty(shape, dtype=np.float64)
-        self._gather_charge = np.empty(shape, dtype=np.float64)
-        self._dots = np.empty(n, dtype=np.float64)
-        self._last_active: Optional[tuple] = None
-        self._uniform = all(lane.n_slots == self.width
-                            for lane in self.lanes)
-
-    def solve(self) -> List[tuple]:
-        """Per-lane ``(ipc, amat_ns, unloaded_ns, iterations, converged)``.
-
-        With obs armed, each closed-loop lane's relative-step trajectory
-        is recorded and emitted as a detail-level ``sim.fixed_point``
-        record when the lane retires; the iteration itself is
-        byte-identical either way.
-        """
-        lanes = self.lanes
-        settings = self.settings
-        n = len(lanes)
-        results: List[Optional[tuple]] = [None] * n
-        ipc = [lane.fixed_ipc if lane.fixed_ipc is not None
-               else lane.initial_ipc for lane in lanes]
-        last = [(0.0, 0.0)] * n
-        # Hoisted per-lane constants: the tail below inlines the
-        # ``CalibratedCpi.ipc`` / ``CoreConfig`` call chains with the
-        # identical float expressions (``ns * f``, ``c / f``,
-        # ``1 / (cpi_core + k * amat**alpha + extra)``), keeping every
-        # result bit-identical while dropping five Python calls per lane
-        # per iteration; dataclass attribute lookups move out of the
-        # loop the same way.
-        freq = [lane.core.frequency_ghz for lane in lanes]
-        instr = [lane.instructions_per_thread for lane in lanes]
-        total = [lane.total for lane in lanes]
-        slots = [lane.n_slots for lane in lanes]
-        wunl = [lane.weighted_unloaded for lane in lanes]
-        stall = [lane.stall_per_access for lane in lanes]
-        repl = [lane.replication_penalty_ns for lane in lanes]
-        local = [lane.local_ns for lane in lanes]
-        extra = [lane.extra_cpi for lane in lanes]
-        fixed = [lane.fixed_ipc for lane in lanes]
-        cal_core = [lane.calibration.cpi_core if lane.calibration else 0.0
-                    for lane in lanes]
-        cal_k = [lane.calibration.k_mem if lane.calibration else 0.0
-                 for lane in lanes]
-        cal_alpha = [lane.calibration.alpha if lane.calibration else 1.0
-                     for lane in lanes]
-        # The unloaded AMAT never depends on the IPC guess, so its two
-        # float ops hoist out of the iteration entirely.
-        unloaded = []
-        for i in range(n):
-            if total[i] == 0:
-                unloaded.append(local[i])
-            else:
-                u = wunl[i] / total[i]
-                if repl[i]:
-                    u += repl[i]
-                unloaded.append(u)
-        damping = settings.damping
-        undamped = 1.0 - settings.damping
-        tolerance = settings.tolerance
-        charge = self.charge
-        wait = self._wait
-        dot = np.dot
-        dots = self._dots
-        # When every lane fills the full stack width there is no padding
-        # to keep out of the reductions, so all the row dot products
-        # collapse into one batched matmul. BLAS evaluates each
-        # (1, width) @ (width, 1) slice with the same ddot kernel as a
-        # one-lane ``charge @ wait``, so the results are bit-identical
-        # (mixed-width groups fall back to per-lane sliced dots, which
-        # exclude the padding by construction).
-        uniform = self._uniform
-        matmul = np.matmul
-        #: Per-lane relative-step trajectories, recorded only when obs
-        #: is armed.
-        residuals: Optional[List[list]] = (
-            [[] for _ in lanes] if OBS.enabled else None
-        )
-        active = list(range(n))
-        iteration = 0
-        while active:
-            iteration += 1
-            if iteration > settings.max_iterations:
-                for i in active:
-                    amat_ns, unloaded_ns = last[i]
-                    results[i] = (ipc[i], amat_ns, unloaded_ns,
-                                  settings.max_iterations, False)
-                    self._emit_residuals(i, settings.max_iterations,
-                                           False, residuals)
-                break
-            k = len(active)
-            windows = self._windows[:k]
-            for row, i in enumerate(active):
-                windows[row] = (instr[i] / ipc[i]) / freq[i]
-            charge_rows = self._eval_wait(active, windows, k)
-            if uniform:
-                matmul(charge_rows[:, None, :], wait[:k, :, None],
-                       out=dots[:k, None, None])
-            still_active = []
-            for row, i in enumerate(active):
-                unloaded_ns = unloaded[i]
-                if total[i] == 0:
-                    amat_ns = local[i]
-                else:
-                    if uniform:
-                        queueing_ns = float(dots[row])
-                    else:
-                        s = slots[i]
-                        queueing_ns = float(dot(charge[i, :s],
-                                               wait[row, :s]))
-                    weighted_loaded = wunl[i] + queueing_ns
-                    amat_ns = weighted_loaded / total[i] + stall[i]
-                    if repl[i]:
-                        amat_ns += repl[i]
-                last[i] = (amat_ns, unloaded_ns)
-                if fixed[i] is not None:
-                    results[i] = (ipc[i], amat_ns, unloaded_ns, 0, True)
-                    continue
-                target = 1.0 / (
-                    cal_core[i]
-                    + cal_k[i] * (amat_ns * freq[i]) ** cal_alpha[i]
-                    + extra[i]
-                )
-                new_ipc = damping * target + undamped * ipc[i]
-                if residuals is not None:
-                    residuals[i].append(abs(new_ipc - ipc[i]) / ipc[i])
-                if abs(new_ipc - ipc[i]) <= tolerance * ipc[i]:
-                    results[i] = (new_ipc, amat_ns, unloaded_ns,
-                                  iteration, True)
-                    self._emit_residuals(i, iteration, True, residuals)
-                else:
-                    ipc[i] = new_ipc
-                    still_active.append(i)
-            active = still_active
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
-
-    def _emit_residuals(self, lane: int, iterations: int,
-                          converged: bool,
-                          residuals: Optional[List[list]]) -> None:
-        """Detail-level provenance of one lane's closed-loop solve."""
-        if residuals is None:
-            return
-        OBS.detail("sim.fixed_point", phase=self.lanes[lane].phase,
-                   iterations=iterations, converged=converged,
-                   residuals=residuals[lane])
-
-    def _eval_wait(self, active: List[int], windows: np.ndarray,
-                   k: int) -> np.ndarray:
-        """Utilization -> wait over the active rows, into scratch.
-
-        Row ``r`` of the ``_wait`` scratch holds lane ``active[r]``'s
-        per-slot waiting times; every operation is elementwise (window *
-        capacity, bytes over that, then the M/D/1 array expression), so
-        a row's values do not depend on the other rows. Returns the charge rows
-        in the same order for the caller's batched contraction.
-        """
-        if k == len(self.lanes):
-            # All lanes still active: active is the identity permutation,
-            # so skip the gathers and read the stacks directly.
-            bytes_rows, cap_rows, service_rows, charge_rows = (
-                self.bytes, self.capacity, self.service, self.charge
-            )
-        else:
-            key = tuple(active)
-            if key != self._last_active:
-                # The active set only changes when a lane converges, so
-                # most iterations reuse the previous gather verbatim.
-                rows = np.asarray(active, dtype=np.intp)
-                self.bytes.take(rows, axis=0,
-                                out=self._gather_bytes[:k])
-                self.capacity.take(rows, axis=0,
-                                   out=self._gather_cap[:k])
-                self.service.take(rows, axis=0,
-                                  out=self._gather_service[:k])
-                self.charge.take(rows, axis=0,
-                                 out=self._gather_charge[:k])
-                self._last_active = key
-            bytes_rows = self._gather_bytes[:k]
-            cap_rows = self._gather_cap[:k]
-            service_rows = self._gather_service[:k]
-            charge_rows = self._gather_charge[:k]
-        np.multiply(windows[:, None], cap_rows, out=self._wincap[:k])
-        np.divide(bytes_rows, self._wincap[:k], out=self._util[:k])
-        mdl_wait_ns_array(
-            self._util[:k], service_rows,
-            burstiness=self.settings.burstiness,
-            out=self._wait[:k], scratch=self._tmp[:k],
-            mask=self._mask[:k],
-        )
-        return charge_rows

@@ -122,16 +122,18 @@ class TestValidation:
         assert code == 2
         assert "--run-timeout" in capsys.readouterr().err
 
-    def test_batch_lanes_must_be_positive(self, capsys):
-        assert main(["run", "fig8", "--batch-lanes", "0"]) == 2
-        assert "--batch-lanes" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["run fig8", "export"])
-    def test_batch_jobs_is_an_unknown_argument(self, command, capsys):
+    @pytest.mark.parametrize("command, flag", [
+        pytest.param("run fig8", "--batch-jobs", id="run fig8"),
+        pytest.param("export", "--batch-jobs", id="export"),
+        pytest.param("run fig8", "--batch-lanes",
+                     id="run fig8 --batch-lanes"),
+        pytest.param("export", "--batch-lanes", id="export --batch-lanes"),
+    ])
+    def test_batch_jobs_is_an_unknown_argument(self, command, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(command.split() + ["--batch-jobs", "2"])
+            main(command.split() + [flag, "2"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --batch-jobs" \
+        assert f"unrecognized arguments: {flag}" \
             in capsys.readouterr().err
 
 

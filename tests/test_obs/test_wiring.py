@@ -66,37 +66,20 @@ class TestSimWiring:
         assert len(residuals) == fixed_point[0]["attrs"]["iterations"]
         assert all(value >= 0 for value in residuals)
 
-    def test_batched_lanes_emit_the_same_phase_records(self):
-        """A --batch-lanes sweep shows the same per-phase timeline."""
-
-        def phase_records(batch_lanes):
-            context = ExperimentContext(seed=2, n_phases=4, warmup_phases=1,
-                                        workloads=("poa",),
-                                        batch_lanes=batch_lanes)
-            records = []
-            OBS.configure(MemorySink(records), level="detail")
-            fig08.run(context)
-            shutdown()
-            spans = sorted(
-                tuple(span["attrs"][key] for key in
-                      ("phase", "loop", "ipc", "iterations", "converged"))
-                for span in records
-                if span["kind"] == "span" and span["name"] == "sim.phase"
-            )
-            residuals = sorted(
-                (event["attrs"]["phase"], len(event["attrs"]["residuals"]))
-                for event in records if event.get("name") == "sim.fixed_point"
-            )
-            return spans, residuals
-
-        solo_spans, solo_residuals = phase_records(1)
-        batched_spans, batched_residuals = phase_records(4)
+    def test_one_phase_span_per_phase_and_residuals_per_closed_loop(
+            self, context):
+        records = []
+        OBS.configure(MemorySink(records), level="detail")
+        fig08.run(context)
+        shutdown()
+        spans = [span for span in records
+                 if span["kind"] == "span" and span["name"] == "sim.phase"]
+        residuals = [event for event in records
+                     if event.get("name") == "sim.fixed_point"]
         # Calibration plus three systems, four phases each; the three
         # closed-loop runs record a residual trajectory per phase.
-        assert len(solo_spans) == 16
-        assert len(solo_residuals) == 12
-        assert batched_spans == solo_spans
-        assert batched_residuals == solo_residuals
+        assert len(spans) == 16
+        assert len(residuals) == 12
 
 
 class TestMigrationWiring:

@@ -12,7 +12,7 @@ kernels.
 
 from repro.interconnect.loads import MESSAGE_HEADER_BYTES, LinkLoads
 from repro.metrics.calibration import calibrate_cpi
-from repro.sim.batch import _migration_totals
+from repro.sim.engine import _migration_totals
 from repro.sim.classification import classify_phase
 from repro.sim.results import PhaseTiming, SimulationResult
 from repro.sim.timing import (

@@ -118,11 +118,12 @@ class TestStepC:
         assert len(result.phases) == 2
 
     def test_warmup_must_leave_phases(self, base_sim):
-        with pytest.raises(ValueError):
-            base_sim.run(fixed_ipc=0.4, warmup_phases=4)
+        n_phases = len(base_sim.setup.traces)
+        with pytest.raises(ValueError, match="measured phase"):
+            base_sim.run(fixed_ipc=0.4, warmup_phases=n_phases)
 
     def test_requires_calibration_or_fixed_ipc(self, base_sim):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="calibration"):
             base_sim.run()
 
     def test_starnuma_beats_baseline(self, base_sim, star_sim):
