@@ -17,13 +17,9 @@ import itertools
 
 import pytest
 
-from repro.obs.storefmt import (
-    INSERT_OBS_RECORD,
-    connect,
-    ensure_core_schema,
-    record_to_row,
-)
 from repro.store import StoreWriter
+from repro.store.schema import INSERT_OBS_RECORD, connect, ensure_schema
+from repro.store.writer import record_to_row
 
 N_RECORDS = 20_000
 
@@ -68,7 +64,7 @@ def test_bench_ingest_row_at_a_time(records, tmp_path_factory, benchmark):
     def ingest():
         db = tmp_path_factory.mktemp("rowwise") / "s.sqlite"
         conn = connect(db)
-        ensure_core_schema(conn)
+        ensure_schema(conn)
         with conn:
             cursor = conn.execute(
                 "INSERT INTO traces (source) VALUES ('bench')")

@@ -28,12 +28,10 @@ _log = get_logger()
 
 def _add_obs_arguments(command: argparse.ArgumentParser) -> None:
     command.add_argument("--obs-trace", metavar="PATH",
-                         help="write an instrumentation trace to PATH; "
-                              "a .sqlite/.db suffix streams into the "
-                              "results store (query it with 'starnuma "
-                              "query'), anything else writes JSONL; "
-                              "summarize either with "
-                              "'starnuma obs summary PATH'")
+                         help="write a JSONL instrumentation trace to "
+                              "PATH; summarize it with 'starnuma obs "
+                              "summary PATH', load it into a store with "
+                              "'starnuma store ingest'")
     command.add_argument("--obs-level", choices=["basic", "detail"],
                          default="basic",
                          help="instrumentation verbosity (default basic; "
@@ -215,7 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inspect an instrumentation trace",
         description="Summarize or validate a trace written by "
                     "'run --obs-trace' / 'export --obs-trace' -- a "
-                    "JSONL file or a sqlite store. See "
+                    "JSONL file, or a sqlite store it was ingested "
+                    "into. See "
                     "docs/observability.md and docs/store.md.",
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
@@ -252,10 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--label", metavar="NAME",
                         help="label for the ingested sweep/trace "
                              "(single PATH only; default: its name)")
-    ingest.add_argument("--batch-size", type=int, metavar="N",
-                        default=None,
-                        help="rows buffered per flush transaction "
-                             "(default 256)")
     info = store_sub.add_parser("info",
                                 help="schema versions and table counts")
     info.add_argument("--db", metavar="DB", required=True,
@@ -265,10 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "query",
         help="answer questions from a results & trace store",
         description="Read-side queries over a store built by "
-                    "'--obs-trace foo.sqlite' or 'starnuma store "
-                    "ingest': exact result tables, degradation curves, "
-                    "cross-sweep diffs, top-N regressions, per-phase "
-                    "timelines. See docs/store.md.",
+                    "'starnuma store ingest': exact result tables, "
+                    "degradation curves, cross-sweep diffs, top-N "
+                    "regressions, per-phase timelines. See "
+                    "docs/store.md.",
     )
     query.add_argument("--db", metavar="DB", required=True,
                        help="store file")
@@ -692,7 +687,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import iter_trace, render_summary, summarize_records, \
         validate_trace
-    from repro.obs.storefmt import is_sqlite_path
+    from repro.store import (QueryError, StoreSchemaError, is_sqlite_path,
+                             open_store, summarize_store)
 
     try:
         if args.obs_command == "validate":
@@ -713,11 +709,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             _log.error(f"error: --width must be >= 1 (got {args.width})")
             return 2
         if is_sqlite_path(args.trace):
-            # Store-backed summary: grouped index lookups, no re-fold of
-            # the raw record log (see docs/store.md).
-            from repro.store import (QueryError, StoreSchemaError,
-                                     open_store, summarize_store)
-
             try:
                 conn = open_store(args.trace, readonly=True)
             except StoreSchemaError as exc:
@@ -730,6 +721,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 return 2
             finally:
                 conn.close()
+        elif args.trace_id is not None:
+            _log.error(f"error: --trace-id applies to a sqlite store; "
+                       f"{args.trace} is a JSONL trace")
+            return 2
         else:
             summary = summarize_records(iter_trace(args.trace))
     except FileNotFoundError:
@@ -760,10 +755,9 @@ def _render_query(headers, rows, output_format: str) -> str:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.obs.storefmt import DEFAULT_BATCH_SIZE, schema_versions
     from repro.store import (StoreIngestError, StoreSchemaError,
-                             StoreWriter, index_traces, ingest_path,
-                             open_store)
+                             StoreWriter, ingest_path, open_store)
+    from repro.store.schema import schema_versions
     from pathlib import Path
 
     try:
@@ -789,20 +783,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if args.label is not None and len(args.paths) > 1:
             _log.error("error: --label applies to a single PATH")
             return 2
-        if args.batch_size is not None and args.batch_size < 1:
-            _log.error(f"error: --batch-size must be >= 1 "
-                       f"(got {args.batch_size})")
-            return 2
-        batch_size = args.batch_size or DEFAULT_BATCH_SIZE
-        with StoreWriter(args.db, batch_size=batch_size) as writer:
+        with StoreWriter(args.db) as writer:
             for path in args.paths:
                 kind, row_id = ingest_path(writer, Path(path),
                                            label=args.label)
                 print(f"ingested {path} -> {kind} {row_id}")
-            writer.flush()
-            indexed = index_traces(writer.connection)
-        if indexed:
-            print(f"indexed {len(indexed)} live-sink trace(s)")
         return 0
     except FileNotFoundError as exc:
         _log.error(f"error: {exc}")
@@ -1032,7 +1017,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.obs_trace:
                 from repro.obs import configure as obs_configure
                 from repro.obs import shutdown as obs_shutdown
+                from repro.store import is_sqlite_path
 
+                if is_sqlite_path(args.obs_trace):
+                    _log.error(f"error: --obs-trace writes JSONL, and "
+                               f"{args.obs_trace} names a sqlite store; "
+                               f"write a .jsonl trace and load it with "
+                               f"'starnuma store ingest'")
+                    return 2
                 obs_configure(trace_path=args.obs_trace, level=args.obs_level)
                 try:
                     return _dispatch(args)

@@ -31,14 +31,13 @@ from repro.obs.events import (
     validate_trace,
 )
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.sinks import JsonlSink, MemorySink, NullSink, Sink, SqliteSink
+from repro.obs.sinks import JsonlSink, MemorySink, NullSink, Sink
 from repro.obs.stream import CallbackSink, TeeSink
 from repro.obs.summary import (
     iter_trace,
     read_trace,
     render_summary,
     summarize_records,
-    summarize_trace,
 )
 
 __all__ = [
@@ -58,12 +57,10 @@ __all__ = [
     "NullSink",
     "MemorySink",
     "JsonlSink",
-    "SqliteSink",
     "CallbackSink",
     "TeeSink",
     "iter_trace",
     "read_trace",
     "render_summary",
     "summarize_records",
-    "summarize_trace",
 ]

@@ -21,9 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.obs.events import LEVEL_NAMES, SCHEMA_VERSION
 from repro.obs.registry import MetricsRegistry
-from repro.obs.sinks import (JsonlSink, MemorySink, NullSink, Sink,
-                             SqliteSink)
-from repro.obs.storefmt import is_sqlite_path
+from repro.obs.sinks import JsonlSink, MemorySink, NullSink, Sink
 
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LEVEL_NAMES, start=1)}
 
@@ -101,8 +99,7 @@ class Obs:
         self._level_rank = _LEVEL_RANK[level]
         self._registry = MetricsRegistry()
         self._t0_ns = time.monotonic_ns()
-        self.trace_path = (str(sink.path)
-                           if isinstance(sink, (JsonlSink, SqliteSink))
+        self.trace_path = (str(sink.path) if isinstance(sink, JsonlSink)
                            else None)
         self.enabled = True
         self._sink.emit({
@@ -262,18 +259,10 @@ def configure(trace_path: Optional[str] = None, level: str = "basic",
               sink: Optional[Sink] = None) -> Obs:
     """Arm the global pipeline (``sink`` wins over ``trace_path``).
 
-    A ``trace_path`` with a sqlite suffix (``.sqlite``/``.sqlite3``/
-    ``.db``) -- or one that already holds a sqlite store -- streams
-    into the embedded results store through :class:`SqliteSink`;
-    anything else gets the classic JSONL trace.
+    A ``trace_path`` gets a JSONL trace; no path, an in-memory one.
     """
     if sink is None:
-        if not trace_path:
-            sink = MemorySink()
-        elif is_sqlite_path(trace_path):
-            sink = SqliteSink(trace_path)
-        else:
-            sink = JsonlSink(trace_path)
+        sink = JsonlSink(trace_path) if trace_path else MemorySink()
     OBS.configure(sink, level=level)
     return OBS
 

@@ -1,21 +1,18 @@
 """Pluggable emission backends of the obs pipeline.
 
-Four sinks cover every use: :class:`NullSink` (the disabled pipeline;
+Three sinks cover every use: :class:`NullSink` (the disabled pipeline;
 every method is a no-op), :class:`MemorySink` (tests and the worker-side
-capture buffer), :class:`JsonlSink` (runs; one JSON object per line,
-flushed per record so forked workers never inherit buffered bytes), and
-:class:`SqliteSink` (runs with ``--obs-trace foo.sqlite``; records
-stream into the embedded results & trace store -- see docs/store.md).
+capture buffer), and :class:`JsonlSink` (runs; one JSON object per line,
+flushed per record so forked workers never inherit buffered bytes). A
+JSONL trace enters the results & trace store through ``starnuma store
+ingest`` (docs/store.md).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-from repro.obs import storefmt
 
 
 class Sink:
@@ -80,70 +77,3 @@ class JsonlSink(Sink):
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
-
-
-class SqliteSink(Sink):
-    """Streams records into the embedded results & trace store.
-
-    The same records :class:`JsonlSink` writes as lines land here as
-    rows of the store's ``obs_records`` table, appended through a
-    buffered batch writer (``batch_size`` rows buffered in memory, then
-    one transaction -- see :mod:`repro.obs.storefmt`). Each configured
-    pipeline session registers one new row of ``traces``; pointing two
-    runs at the same file *appends* a second trace, it never truncates
-    the first, which is how a resumed sweep keeps one queryable record
-    set across restarts.
-
-    Fork safety follows the ``Obs.capture()/absorb()`` contract: the
-    connection belongs to the process that opened it. A forked worker
-    must buffer its records with ``OBS.capture`` and ship them back for
-    the parent to ``absorb``; a stray ``emit`` from a child raises
-    instead of corrupting the WAL, and a child-side ``close`` is a
-    no-op so an inherited handle's locks are never released twice.
-    """
-
-    def __init__(self, path: Union[str, Path],
-                 label: Optional[str] = None,
-                 batch_size: int = storefmt.DEFAULT_BATCH_SIZE) -> None:
-        self.path = Path(path)
-        self._conn = storefmt.connect(self.path)
-        storefmt.ensure_core_schema(self._conn)
-        self.trace_id = storefmt.begin_trace(self._conn, source="live",
-                                             label=label)
-        self._writer = storefmt.BufferedTableWriter(
-            self._conn, storefmt.INSERT_OBS_RECORD, batch_size)
-        self._n_records = 0
-        self._seq = 0
-        self._pid = os.getpid()
-        self._closed = False
-
-    def emit(self, record: Dict[str, object]) -> None:
-        if self._closed:
-            raise ValueError(f"sqlite sink {self.path} is closed")
-        if os.getpid() != self._pid:
-            raise RuntimeError(
-                f"sqlite sink {self.path} crossed a fork: workers must "
-                f"buffer records with OBS.capture() and let the parent "
-                f"absorb() them"
-            )
-        self._n_records += 1
-        if record.get("kind") == "meta":
-            # The header lives in the trace registry, not the row log.
-            storefmt.set_trace_meta(self._conn, self.trace_id, record)
-            return
-        self._seq += 1
-        self._writer.append(
-            storefmt.record_to_row(self.trace_id, self._seq, record))
-
-    def flush(self) -> None:
-        """Land buffered rows now (one transaction)."""
-        if not self._closed and os.getpid() == self._pid:
-            self._writer.flush()
-
-    def close(self) -> None:
-        if self._closed or os.getpid() != self._pid:
-            return
-        self._writer.close()
-        storefmt.finish_trace(self._conn, self.trace_id, self._n_records)
-        self._conn.close()
-        self._closed = True

@@ -1,4 +1,9 @@
-"""Summarize a JSONL obs trace: phase timeline plus per-metric tables.
+"""Summarize an obs trace: phase timeline plus per-metric tables.
+
+:func:`summarize_records` is the one fold behind ``starnuma obs
+summary``: a JSONL trace streams into it line by line, and a store
+(:func:`repro.store.query.summarize_store`) reads its records back
+into it row by row.
 
 The rendering core is :mod:`repro.metrics.ascii_chart` (the same bars
 ``starnuma run fig8`` prints) plus the project's monospace table
@@ -46,23 +51,29 @@ def summarize_records(
         records: Iterable[Dict[str, object]]) -> Dict[str, object]:
     """Fold records into the structures :func:`render_summary` prints.
 
-    Accepts any iterable -- a list, :func:`iter_trace`, or a store
-    cursor -- and holds only the folded state (per-name span/event
-    aggregates, the phase timeline, and metric summary records), never
-    the records themselves.
+    Accepts any iterable -- a list, :func:`iter_trace`, or records read
+    back from a store -- and holds only the folded state (per-name
+    span/event aggregates, the phase timeline, and metric summary
+    records), never the records themselves.
+
+    The first ``meta`` header names the fold. Metric records that share
+    a name (several traces' sessions folded together) merge: counters
+    sum, gauges keep the last value and sum ``samples``, histograms
+    with equal edges sum their buckets; a histogram whose edges differ
+    keeps its first summary. Metrics come back sorted by name.
     """
     meta: Dict[str, object] = {}
     spans: "OrderedDict[str, Dict[str, float]]" = OrderedDict()
     phase_ns: "OrderedDict[object, float]" = OrderedDict()
     events: "OrderedDict[str, int]" = OrderedDict()
-    metrics: List[Dict[str, object]] = []
+    metrics: Dict[str, Dict[str, object]] = {}
     n_records = 0
 
     for record in records:
         n_records += 1
         kind = record.get("kind")
         if kind == "meta":
-            meta = record
+            meta = meta or record
         elif kind == "span":
             name = str(record.get("name"))
             entry = spans.setdefault(
@@ -79,7 +90,7 @@ def summarize_records(
             name = str(record.get("name"))
             events[name] = events.get(name, 0) + 1
         elif kind == "metric":
-            metrics.append(record)
+            _merge_metric(metrics, record)
 
     return {
         "meta": meta,
@@ -87,13 +98,35 @@ def summarize_records(
         "spans": spans,
         "phase_ns": phase_ns,
         "events": events,
-        "metrics": metrics,
+        "metrics": [metrics[name] for name in sorted(metrics)],
     }
 
 
-def summarize_trace(records: List[Dict[str, object]]) -> Dict[str, object]:
-    """Fold a materialized trace (compatibility alias)."""
-    return summarize_records(records)
+def _merge_metric(folded: Dict[str, Dict[str, object]],
+                  record: Dict[str, object]) -> None:
+    name = str(record.get("name"))
+    existing = folded.get(name)
+    if existing is None:
+        folded[name] = dict(record)
+        return
+    metric_type = record.get("type")
+    if metric_type == "counter":
+        existing["value"] = (float(existing.get("value", 0.0))  # type: ignore[arg-type]
+                             + float(record.get("value", 0.0)))  # type: ignore[arg-type]
+    elif metric_type == "gauge":
+        existing["value"] = record.get("value")
+        existing["samples"] = (int(existing.get("samples", 0))  # type: ignore[call-overload]
+                               + int(record.get("samples", 0)))  # type: ignore[call-overload]
+    elif metric_type == "histogram":
+        if existing.get("edges") == record.get("edges"):
+            buckets = [int(a) + int(b) for a, b in
+                       zip(existing.get("buckets", []),  # type: ignore[arg-type]
+                           record.get("buckets", []))]  # type: ignore[arg-type]
+            existing["buckets"] = buckets
+            existing["count"] = (int(existing.get("count", 0))  # type: ignore[call-overload]
+                                 + int(record.get("count", 0)))  # type: ignore[call-overload]
+            existing["total"] = (float(existing.get("total", 0.0))  # type: ignore[arg-type]
+                                 + float(record.get("total", 0.0)))  # type: ignore[arg-type]
 
 
 def _format_ms(ns: float) -> float:

@@ -1,20 +1,16 @@
-"""Backfill existing artifacts into the store: ``starnuma store ingest``.
+"""Bring finished artifacts into the store: ``starnuma store ingest``.
 
-Two artifact shapes exist in the wild and both land here:
+This is the only way rows get in. Two artifact shapes land here:
 
 * **JSONL obs traces** (``--obs-trace foo.jsonl`` output) stream in
-  line by line -- the file is never materialized -- into the same
-  ``obs_records``/``phase_metrics``/``migration_decisions`` tables the
-  live :class:`~repro.obs.sinks.SqliteSink` feeds.
+  line by line -- the file is never materialized -- through
+  :meth:`StoreWriter.add_obs_record`, which fills ``obs_records`` and
+  the derived ``phase_metrics``/``migration_decisions`` tables as it
+  goes.
 * **Export directories** (``starnuma export --out DIR``): the
   ``manifest.json`` becomes a ``sweeps`` row and every result
   ``<id>.json`` a ``runs``/``run_rows``/``run_metrics`` group. A JSONL
   obs trace the manifest points at is ingested alongside.
-
-:func:`index_traces` closes the loop for traces written live by the
-sink (which streams raw records only): it folds any trace missing its
-derived rows into ``phase_metrics``/``migration_decisions``, so
-summary and timeline queries are index lookups afterwards.
 """
 
 from __future__ import annotations
@@ -22,18 +18,10 @@ from __future__ import annotations
 import json
 import sqlite3
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.obs.storefmt import (
-    SELECT_OBS_RECORDS,
-    is_sqlite_path,
-    row_to_record,
-)
 from repro.obs.summary import iter_trace
-from repro.store.schema import (
-    INSERT_MIGRATION_DECISION,
-    INSERT_PHASE_METRIC,
-)
+from repro.store.schema import is_sqlite_path
 from repro.store.writer import StoreWriter
 
 #: Files of an export directory that are not result tables.
@@ -127,61 +115,3 @@ def ingest_path(writer: StoreWriter, path: Path,
             )
         return ("trace", ingest_trace(writer, path, label=label))
     raise StoreIngestError(f"no such artifact: {path}")
-
-
-def index_traces(conn: sqlite3.Connection) -> List[int]:
-    """Materialize derived rows for traces that lack them.
-
-    Live-sink traces carry raw records only; this folds their
-    ``sim.phase`` spans into ``phase_metrics`` and their
-    ``migration.*`` events into ``migration_decisions``. Returns the
-    trace ids indexed. Idempotent: already-indexed traces are skipped.
-    """
-    indexed: List[int] = []
-    trace_ids = [int(row[0]) for row in conn.execute(
-        "SELECT trace_id FROM traces ORDER BY trace_id")]
-    for trace_id in trace_ids:
-        have = conn.execute(
-            "SELECT (SELECT COUNT(*) FROM phase_metrics "
-            "        WHERE trace_id = ?) + "
-            "       (SELECT COUNT(*) FROM migration_decisions "
-            "        WHERE trace_id = ?)",
-            (trace_id, trace_id),
-        ).fetchone()
-        if have and int(have[0]) > 0:
-            continue
-        phase_fold: Dict[str, List[int]] = {}
-        migration_rows: List[Tuple[object, ...]] = []
-        seq = 0
-        for row in conn.execute(SELECT_OBS_RECORDS, (trace_id,)):
-            seq += 1
-            record = row_to_record(row)
-            kind = record.get("kind")
-            name = str(record.get("name", ""))
-            attrs = record.get("attrs")
-            attrs = attrs if isinstance(attrs, dict) else {}
-            if kind == "span" and name == "sim.phase":
-                phase = str(attrs.get("phase", len(phase_fold)))
-                entry = phase_fold.setdefault(phase, [0, 0])
-                entry[0] += 1
-                entry[1] += int(record.get("dur_ns", 0))  # type: ignore[call-overload]
-            elif kind == "event" and name.startswith("migration."):
-                migration_rows.append((
-                    trace_id, seq, record.get("t_ns"), name,
-                    attrs.get("policy"), attrs.get("phase"),
-                    attrs.get("region"), attrs.get("pages"),
-                    attrs.get("source"), attrs.get("destination"),
-                    attrs.get("rule"),
-                    json.dumps(attrs, sort_keys=True,
-                               separators=(",", ":")) if attrs else None,
-                ))
-        if not phase_fold and not migration_rows:
-            continue
-        with conn:
-            conn.executemany(INSERT_PHASE_METRIC, [
-                (trace_id, phase, count, total_ns)
-                for phase, (count, total_ns) in phase_fold.items()
-            ])
-            conn.executemany(INSERT_MIGRATION_DECISION, migration_rows)
-        indexed.append(trace_id)
-    return indexed

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.obs.storefmt import row_to_record, trace_meta_record
+from repro.obs.summary import summarize_records
+from repro.store.schema import SELECT_OBS_RECORDS
+from repro.store.writer import row_to_record, trace_meta_record
 
 #: A reference to a sweep or trace: row id, or label.
 Ref = Union[int, str]
@@ -305,46 +307,27 @@ def _phase_fold(conn: sqlite3.Connection, trace_id: Optional[int]
                 ) -> List[Tuple[str, int, float]]:
     """Per-phase (phase, span_count, total_ns), in phase order.
 
-    Served from the materialized ``phase_metrics`` table when the
-    trace has been indexed (ingest does this; ``starnuma store
-    ingest`` indexes live-sink traces too), falling back to an indexed
-    scan of the raw record log otherwise.
+    Read from the ``phase_metrics`` index that ``starnuma store
+    ingest`` fills as it streams a trace in.
     """
+    if not _has_table(conn, "phase_metrics"):
+        raise QueryError(
+            "store has no phase_metrics index; rebuild it from the JSONL "
+            "trace with 'starnuma store ingest'"
+        )
     params: Tuple[object, ...] = ()
     clause = ""
     if trace_id is not None:
         clause = "WHERE trace_id = ? "
         params = (trace_id,)
-    if _has_table(conn, "phase_metrics"):
-        rows = conn.execute(
-            "SELECT phase, SUM(span_count), SUM(total_dur_ns) "
-            f"FROM phase_metrics {clause}"
-            "GROUP BY phase ORDER BY CAST(phase AS INTEGER), phase",
-            params,
-        ).fetchall()
-        if rows:
-            return [(str(phase), int(count), float(total))
-                    for phase, count, total in rows]
-    fold: Dict[str, List[float]] = {}
-    sql = ("SELECT dur_ns, attrs FROM obs_records "
-           "WHERE kind = 'span' AND name = 'sim.phase'")
-    if trace_id is not None:
-        sql += " AND trace_id = ?"
-    for dur_ns, attrs_json in conn.execute(sql, params):
-        attrs = json.loads(str(attrs_json)) if attrs_json else {}
-        phase = str(attrs.get("phase", "?"))
-        entry = fold.setdefault(phase, [0, 0.0])
-        entry[0] += 1
-        entry[1] += float(dur_ns or 0)
-
-    def _order(item: Tuple[str, List[float]]) -> Tuple[int, str]:
-        try:
-            return (int(item[0]), item[0])
-        except ValueError:
-            return (1 << 30, item[0])
-
-    return [(phase, int(count), total)
-            for phase, (count, total) in sorted(fold.items(), key=_order)]
+    rows = conn.execute(
+        "SELECT phase, SUM(span_count), SUM(total_dur_ns) "
+        f"FROM phase_metrics {clause}"
+        "GROUP BY phase ORDER BY CAST(phase AS INTEGER), phase",
+        params,
+    ).fetchall()
+    return [(str(phase), int(count), float(total))
+            for phase, count, total in rows]
 
 
 def phase_timeline(conn: sqlite3.Connection,
@@ -383,101 +366,38 @@ def migration_provenance(conn: sqlite3.Connection,
     return headers, [tuple(row) for row in conn.execute(sql, params)]
 
 
-def _merge_metric(folded: Dict[str, Dict[str, object]],
-                  record: Dict[str, object]) -> None:
-    name = str(record.get("name"))
-    existing = folded.get(name)
-    if existing is None:
-        folded[name] = dict(record)
-        return
-    metric_type = record.get("type")
-    if metric_type == "counter":
-        existing["value"] = (float(existing.get("value", 0.0))  # type: ignore[arg-type]
-                             + float(record.get("value", 0.0)))  # type: ignore[arg-type]
-    elif metric_type == "gauge":
-        existing["value"] = record.get("value")
-        existing["samples"] = (int(existing.get("samples", 0))  # type: ignore[call-overload]
-                               + int(record.get("samples", 0)))  # type: ignore[call-overload]
-    elif metric_type == "histogram":
-        if existing.get("edges") == record.get("edges"):
-            buckets = [int(a) + int(b) for a, b in
-                       zip(existing.get("buckets", []),  # type: ignore[arg-type]
-                           record.get("buckets", []))]  # type: ignore[arg-type]
-            existing["buckets"] = buckets
-            existing["count"] = (int(existing.get("count", 0))  # type: ignore[call-overload]
-                                 + int(record.get("count", 0)))  # type: ignore[call-overload]
-            existing["total"] = (float(existing.get("total", 0.0))  # type: ignore[arg-type]
-                                 + float(record.get("total", 0.0)))  # type: ignore[arg-type]
+#: One ``traces`` row: id, then the ``meta`` header's level/schema/clock.
+_TraceRow = Tuple[int, Optional[str], Optional[int], Optional[str]]
+
+
+def _trace_records(conn: sqlite3.Connection, traces: List[_TraceRow]
+                   ) -> Iterator[Dict[str, object]]:
+    """Each trace's header, then its records, decoded one row at a time."""
+    for trace_id, level, schema_version, clock in traces:
+        if (level, schema_version, clock) != (None, None, None):
+            yield trace_meta_record(level, schema_version, clock)
+        for row in conn.execute(SELECT_OBS_RECORDS, (trace_id,)):
+            yield row_to_record(row)
 
 
 def summarize_store(conn: sqlite3.Connection,
                     trace: Optional[Ref] = None) -> Dict[str, object]:
-    """The ``starnuma obs summary`` fold, as store index lookups.
+    """The ``starnuma obs summary`` fold over stored traces.
 
-    Returns the exact summary-dict shape
-    :func:`repro.obs.summary.summarize_records` folds from a JSONL
-    trace, but computed with grouped SQL over the record log (and the
-    materialized ``phase_metrics`` index) -- no trace re-scan, no
-    directory walk. With ``trace=None`` every trace in the store is
-    folded together, which is how a resumed sweep's two sessions read
-    as one record set; metric summaries merge across traces (counters
-    and histogram buckets sum, gauges keep the last write).
+    Reads the records back through the codec, in ``(trace_id, seq)``
+    order with each trace's ``meta`` header first, and folds them with
+    :func:`repro.obs.summary.summarize_records` -- the same fold a
+    JSONL trace gets, so the two renderings cannot drift apart. With
+    ``trace=None`` every trace in the store is folded together, which
+    is how a resumed sweep's sessions read as one record set.
     """
     trace_id = resolve_trace(conn, trace)
-    clause = ""
+    sql = "SELECT trace_id, level, schema_version, clock FROM traces "
     params: Tuple[object, ...] = ()
     if trace_id is not None:
-        clause = "AND trace_id = ? "
+        sql += "WHERE trace_id = ? "
         params = (trace_id,)
-
-    meta_sql = "SELECT level, schema_version, clock FROM traces "
-    count_sql = "SELECT COALESCE(SUM(n_records), 0) FROM traces "
-    if trace_id is not None:
-        meta_sql += "WHERE trace_id = ? "
-        count_sql += "WHERE trace_id = ? "
-    meta_sql += "ORDER BY trace_id LIMIT 1"
-    meta_row = conn.execute(meta_sql, params).fetchone()
-    if meta_row is None:
+    traces = conn.execute(sql + "ORDER BY trace_id", params).fetchall()
+    if not traces:
         raise QueryError("store holds no obs traces")
-    meta = trace_meta_record(meta_row[0], meta_row[1], meta_row[2])
-    n_records = int(conn.execute(count_sql, params).fetchone()[0])
-
-    spans: Dict[str, Dict[str, float]] = {}
-    for name, count, total in conn.execute(
-            "SELECT name, COUNT(*), COALESCE(SUM(dur_ns), 0) "
-            f"FROM obs_records WHERE kind = 'span' {clause}"
-            "GROUP BY name ORDER BY name", params):
-        spans[str(name)] = {"count": int(count), "total_ns": float(total)}
-
-    events: Dict[str, int] = {}
-    for name, count in conn.execute(
-            "SELECT name, COUNT(*) "
-            f"FROM obs_records WHERE kind = 'event' {clause}"
-            "GROUP BY name ORDER BY name", params):
-        events[str(name)] = int(count)
-
-    phase_ns: Dict[object, float] = {}
-    for phase, _spans, total_ns in _phase_fold(conn, trace_id):
-        key: object = phase
-        try:
-            key = int(phase)
-        except ValueError:
-            pass
-        phase_ns[key] = total_ns
-
-    metrics: Dict[str, Dict[str, object]] = {}
-    for row in conn.execute(
-            "SELECT kind, name, t_ns, dur_ns, metric_type, value, attrs, "
-            f"payload FROM obs_records WHERE kind = 'metric' {clause}"
-            "ORDER BY trace_id, seq", params):
-        _merge_metric(metrics, row_to_record(row))
-
-    return {
-        "meta": meta,
-        "n_records": n_records,
-        "spans": spans,
-        "phase_ns": phase_ns,
-        "events": events,
-        "metrics": sorted(metrics.values(),
-                          key=lambda record: str(record.get("name"))),
-    }
+    return summarize_records(_trace_records(conn, traces))

@@ -1,13 +1,22 @@
-"""The results half of the store schema, stacked on the obs half.
+"""The store's on-disk format: one sqlite file, two schema halves.
 
-:mod:`repro.obs.storefmt` owns the tables the live obs sink also
-writes (``store_meta``, ``traces``, ``obs_records``); this module adds
-the results tables and the derived index tables:
+The obs half holds what ``starnuma store ingest`` writes for a JSONL
+trace:
+
+``store_meta``
+    The schema-version ledger (``obs_schema`` for the obs half,
+    ``store_schema`` for the results half); a mismatch refuses with
+    one line rather than guessing at a layout.
+``traces`` / ``obs_records``
+    One row per ingested trace (its ``meta`` header typed out), and
+    every other record of it as one typed row, in emission order.
+
+The results half adds the result tables and the derived index tables:
 
 ``sweeps``
-    One ingested export directory (or live result set): the manifest's
-    identity fields plus its full JSON. ``label`` is unique -- queries
-    name sweeps by label or id.
+    One ingested export directory: the manifest's identity fields plus
+    its full JSON. ``label`` is unique -- queries name sweeps by label
+    or id.
 ``runs`` / ``run_rows``
     One experiment result table per row of ``runs`` (headers + notes),
     with every result row stored verbatim as a JSON cell list in
@@ -19,34 +28,80 @@ the results tables and the derived index tables:
     top-N regressions) select on.
 ``phase_metrics``
     The materialized per-phase fold of ``sim.phase`` spans -- the
-    index the summary/timeline queries hit instead of re-folding raw
-    records.
+    index the timeline query reads.
 ``migration_decisions``
     Per-decision migration provenance (``migration.*`` events)
     extracted from the record log with its discriminating columns
     typed out.
 
-Everything is schema-versioned through the ``store_meta`` ledger
-(``obs_schema`` for the obs half, ``store_schema`` for this half); a
-mismatch refuses with one line rather than guessing at a layout.
+Databases are opened in WAL mode with a busy timeout, so concurrent
+writers (two sweep processes ingesting traces) serialize on the write
+lock instead of surfacing ``database is locked`` to callers.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import urllib.parse
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
-from repro.obs.storefmt import (
-    DEFAULT_BUSY_TIMEOUT_S,
-    StoreSchemaError,
-    connect,
-    ensure_core_schema,
-)
+#: Version of the obs half of the schema (``store_meta`` key
+#: ``obs_schema``).
+OBS_STORE_SCHEMA_VERSION = 1
 
 #: Version of the results half of the schema (``store_meta`` key
 #: ``store_schema``).
 STORE_SCHEMA_VERSION = 1
+
+#: Default busy timeout: how long a writer waits on the WAL write lock
+#: before sqlite gives up (never surfaced in normal operation).
+DEFAULT_BUSY_TIMEOUT_S = 10.0
+
+#: Path suffixes the CLI treats as "this path is a sqlite store".
+SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+
+#: The 16-byte magic prefix of every sqlite database file.
+SQLITE_MAGIC = b"SQLite format 3\x00"
+
+CORE_DDL: Tuple[str, ...] = (
+    """
+    CREATE TABLE IF NOT EXISTS store_meta (
+        key   TEXT PRIMARY KEY,
+        value TEXT NOT NULL
+    )
+    """,
+    """
+    CREATE TABLE IF NOT EXISTS traces (
+        trace_id       INTEGER PRIMARY KEY AUTOINCREMENT,
+        label          TEXT,
+        source         TEXT NOT NULL,
+        level          TEXT,
+        schema_version INTEGER,
+        clock          TEXT,
+        n_records      INTEGER NOT NULL DEFAULT 0
+    )
+    """,
+    """
+    CREATE TABLE IF NOT EXISTS obs_records (
+        trace_id    INTEGER NOT NULL,
+        seq         INTEGER NOT NULL,
+        kind        TEXT NOT NULL,
+        name        TEXT,
+        t_ns        INTEGER,
+        dur_ns      INTEGER,
+        metric_type TEXT,
+        value       REAL,
+        attrs       TEXT,
+        payload     TEXT,
+        PRIMARY KEY (trace_id, seq)
+    )
+    """,
+    """
+    CREATE INDEX IF NOT EXISTS idx_obs_records_kind_name
+        ON obs_records (trace_id, kind, name)
+    """,
+)
 
 STORE_DDL: Tuple[str, ...] = (
     """
@@ -127,6 +182,11 @@ STORE_DDL: Tuple[str, ...] = (
     """,
 )
 
+INSERT_OBS_RECORD = (
+    "INSERT INTO obs_records (trace_id, seq, kind, name, t_ns, dur_ns, "
+    "metric_type, value, attrs, payload) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
 INSERT_RUN_ROW = (
     "INSERT INTO run_rows (run_id, row_index, scenario, data) "
     "VALUES (?, ?, ?, ?)"
@@ -146,26 +206,90 @@ INSERT_MIGRATION_DECISION = (
 )
 
 
+#: Column order every record-reading SELECT must use with
+#: :func:`repro.store.writer.row_to_record`.
+OBS_RECORD_COLUMNS = ("kind", "name", "t_ns", "dur_ns", "metric_type",
+                      "value", "attrs", "payload")
+
+SELECT_OBS_RECORDS = (
+    "SELECT " + ", ".join(OBS_RECORD_COLUMNS)
+    + " FROM obs_records WHERE trace_id = ? ORDER BY seq"
+)
+
+
+class StoreSchemaError(ValueError):
+    """The database's recorded schema is not one this code reads."""
+
+
+def is_sqlite_path(path: Union[str, Path]) -> bool:
+    """True when ``path`` is (or would be taken for) a sqlite store.
+
+    An existing file answers by its magic bytes; a missing one by its
+    suffix (``.sqlite``/``.sqlite3``/``.db``).
+    """
+    target = Path(path)
+    try:
+        with open(target, "rb") as handle:
+            return handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
+    except OSError:
+        return target.suffix.lower() in SQLITE_SUFFIXES
+
+
+def connect(path: Union[str, Path], *, readonly: bool = False,
+            busy_timeout_s: float = DEFAULT_BUSY_TIMEOUT_S,
+            ) -> sqlite3.Connection:
+    """Open a store database: WAL mode, busy timeout armed.
+
+    ``readonly`` opens with sqlite's ``mode=ro`` so queries can never
+    create or mutate a store by accident.
+    """
+    target = Path(path)
+    if readonly:
+        if not target.is_file():
+            raise FileNotFoundError(f"no such store: {target}")
+        uri = "file:" + urllib.parse.quote(str(target)) + "?mode=ro"
+        conn = sqlite3.connect(uri, uri=True, timeout=busy_timeout_s)
+    else:
+        if target.parent != Path(""):
+            target.parent.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(str(target), timeout=busy_timeout_s)
+        # WAL lets a reader summarize a store mid-ingest and lets two
+        # sweep processes append traces without blocking each other.
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+    conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_s * 1000.0)}")
+    return conn
+
+
 def ensure_schema(conn: sqlite3.Connection) -> None:
     """Create both schema halves; verify their recorded versions."""
-    ensure_core_schema(conn)
+    ledger = (("obs_schema", OBS_STORE_SCHEMA_VERSION),
+              ("store_schema", STORE_SCHEMA_VERSION))
     with conn:
-        for statement in STORE_DDL:
+        for statement in CORE_DDL + STORE_DDL:
             conn.execute(statement)
-        conn.execute(
-            "INSERT OR IGNORE INTO store_meta (key, value) VALUES (?, ?)",
-            ("store_schema", str(STORE_SCHEMA_VERSION)),
+        for key, version in ledger:
+            conn.execute(
+                "INSERT OR IGNORE INTO store_meta (key, value) "
+                "VALUES (?, ?)", (key, str(version)))
+    recorded = schema_versions(conn)
+    for key, version in ledger:
+        if recorded.get(key) != str(version):
+            raise StoreSchemaError(
+                f"store records {key} {recorded.get(key)!r}; this "
+                f"version reads {version} -- refusing to guess at an "
+                f"unknown layout"
+            )
+
+
+def schema_versions(conn: sqlite3.Connection) -> Dict[str, str]:
+    """Every ``store_meta`` schema ledger entry, keyed by name."""
+    return {
+        str(key): str(value)
+        for key, value in conn.execute(
+            "SELECT key, value FROM store_meta ORDER BY key"
         )
-    row = conn.execute(
-        "SELECT value FROM store_meta WHERE key = 'store_schema'"
-    ).fetchone()
-    if row is None or str(row[0]) != str(STORE_SCHEMA_VERSION):
-        recorded = None if row is None else row[0]
-        raise StoreSchemaError(
-            f"store records store_schema {recorded!r}; this version "
-            f"reads {STORE_SCHEMA_VERSION} -- refusing to guess at an "
-            f"unknown layout"
-        )
+    }
 
 
 def open_store(path: Union[str, Path], *, readonly: bool = False,

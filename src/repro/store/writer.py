@@ -1,19 +1,24 @@
 """The store's write side: one lifecycle object, buffered batch writers.
 
 :class:`StoreWriter` owns the connection and one
-:class:`~repro.obs.storefmt.BufferedTableWriter` per bulk table. Row
-headers that other rows reference (``sweeps``, ``runs``, ``traces``)
-are inserted eagerly so their autoincrement ids exist before the bulk
-rows that point at them; everything else accumulates in memory and
-lands ``batch_size`` rows at a time in single transactions. The
-explicit ``flush()``/``close()`` lifecycle mirrors the obs sink, and
-the same fork contract applies: the writer belongs to the process that
-opened it, a forked child's calls raise instead of corrupting the WAL.
+:class:`BufferedTableWriter` per bulk table. Row headers that other
+rows reference (``sweeps``, ``runs``, ``traces``) are inserted eagerly
+so their autoincrement ids exist before the bulk rows that point at
+them; everything else accumulates in memory and lands ``batch_size``
+rows at a time in single transactions, behind an explicit
+``flush()``/``close()`` lifecycle. The writer belongs to the process
+that opened it: a forked child's calls raise instead of corrupting the
+WAL.
+
+Obs records cross into ``obs_records`` rows through one codec,
+:func:`record_to_row` / :func:`row_to_record`, which round-trips every
+record exactly.
 
 Determinism: nothing here reads a clock or draws randomness -- every
-row's content comes from the ingested records and results themselves,
-so ingesting the same inputs twice (under different labels) produces
-identical row content.
+row's content comes from the ingested records and results themselves
+(a record's timestamp is its own monotonic ``t_ns``), so ingesting the
+same inputs twice (under different labels) produces identical row
+content.
 """
 
 from __future__ import annotations
@@ -22,10 +27,13 @@ import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs import storefmt
 from repro.store import schema as store_schema
+
+#: Default rows buffered in memory before a batch writer flushes them
+#: in one transaction.
+DEFAULT_BATCH_SIZE = 256
 
 #: Result cell types treated as metric values (bool is a label, not a
 #: measurement, despite being an int subclass).
@@ -44,25 +52,119 @@ def scenario_key(cells: List[object]) -> str:
     return "/".join(labels) if labels else "-"
 
 
+def _compact(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def record_to_row(trace_id: int, seq: int,
+                  record: Dict[str, object]) -> Tuple[object, ...]:
+    """Encode one obs record (span/event/metric) as an ``obs_records`` row.
+
+    ``meta`` records live in ``traces``, not here -- encode everything
+    the schema knows into typed columns and stash any remaining fields
+    in ``payload`` so :func:`row_to_record` round-trips exactly.
+    """
+    kind = str(record.get("kind", ""))
+    name = record.get("name")
+    if kind == "metric":
+        metric_type = record.get("type")
+        value = (record.get("value")
+                 if metric_type in ("counter", "gauge") else None)
+        rest = {key: val for key, val in record.items()
+                if key not in ("kind", "type", "name", "value")}
+        payload = _compact(rest) if rest else None
+        return (trace_id, seq, kind, name, None, None, metric_type,
+                value, None, payload)
+    attrs = record.get("attrs")
+    attrs_json = _compact(attrs) if attrs is not None else None
+    rest = {key: val for key, val in record.items()
+            if key not in ("kind", "name", "t_ns", "dur_ns", "attrs")}
+    payload = _compact(rest) if rest else None
+    return (trace_id, seq, kind, name, record.get("t_ns"),
+            record.get("dur_ns"), None, None, attrs_json, payload)
+
+
+def row_to_record(row: Sequence[object]) -> Dict[str, object]:
+    """Decode one ``OBS_RECORD_COLUMNS``-ordered row back to a record."""
+    kind, name, t_ns, dur_ns, metric_type, value, attrs, payload = row
+    if kind == "metric":
+        record: Dict[str, object] = {"kind": "metric",
+                                     "type": metric_type, "name": name}
+        if value is not None:
+            record["value"] = value
+        if payload:
+            record.update(json.loads(str(payload)))
+        return record
+    record = {"kind": kind, "name": name}
+    if t_ns is not None:
+        record["t_ns"] = t_ns
+    if kind == "span" and dur_ns is not None:
+        record["dur_ns"] = dur_ns
+    if attrs is not None:
+        record["attrs"] = json.loads(str(attrs))
+    if payload:
+        record.update(json.loads(str(payload)))
+    return record
+
+
+def trace_meta_record(level: Optional[str], schema_version: Optional[int],
+                      clock: Optional[str]) -> Dict[str, object]:
+    """Rebuild the ``meta`` header record from a ``traces`` row."""
+    return {"kind": "meta", "schema": schema_version, "level": level,
+            "clock": clock}
+
+
+class BufferedTableWriter:
+    """Appends rows in memory; flushes them as one transaction.
+
+    The pyotter-style batch writer: ``append`` is an in-memory list
+    push until ``batch_size`` rows accumulate, then one ``executemany``
+    inside a single transaction lands the whole batch. ``flush``
+    drains explicitly; dropping the writer without flushing loses only
+    unflushed rows, never corrupts the store.
+    """
+
+    def __init__(self, conn: sqlite3.Connection, insert_sql: str,
+                 batch_size: int) -> None:
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        self._conn = conn
+        self._insert_sql = insert_sql
+        self._batch_size = batch_size
+        self._rows: List[Tuple[object, ...]] = []
+
+    def append(self, row: Tuple[object, ...]) -> None:
+        self._rows.append(row)
+        if len(self._rows) >= self._batch_size:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self._rows:
+            return
+        with self._conn:
+            self._conn.executemany(self._insert_sql, self._rows)
+        self._rows.clear()
+
+
 class StoreWriter:
     """Write-side lifecycle of the results & trace store."""
 
     def __init__(self, path: Union[str, Path], *,
-                 batch_size: int = storefmt.DEFAULT_BATCH_SIZE,
-                 busy_timeout_s: float = storefmt.DEFAULT_BUSY_TIMEOUT_S,
+                 batch_size: int = DEFAULT_BATCH_SIZE,
+                 busy_timeout_s: float = store_schema.DEFAULT_BUSY_TIMEOUT_S,
                  ) -> None:
         self.path = Path(path)
         self._conn: sqlite3.Connection = store_schema.open_store(
             self.path, busy_timeout_s=busy_timeout_s)
-        self._obs_rows = storefmt.BufferedTableWriter(
-            self._conn, storefmt.INSERT_OBS_RECORD, batch_size)
-        self._run_rows = storefmt.BufferedTableWriter(
+        self._obs_rows = BufferedTableWriter(
+            self._conn, store_schema.INSERT_OBS_RECORD, batch_size)
+        self._run_rows = BufferedTableWriter(
             self._conn, store_schema.INSERT_RUN_ROW, batch_size)
-        self._run_metrics = storefmt.BufferedTableWriter(
+        self._run_metrics = BufferedTableWriter(
             self._conn, store_schema.INSERT_RUN_METRIC, batch_size)
-        self._phase_metrics = storefmt.BufferedTableWriter(
+        self._phase_metrics = BufferedTableWriter(
             self._conn, store_schema.INSERT_PHASE_METRIC, batch_size)
-        self._migrations = storefmt.BufferedTableWriter(
+        self._migrations = BufferedTableWriter(
             self._conn, store_schema.INSERT_MIGRATION_DECISION, batch_size)
         # Per-trace bounded fold state: phase label -> [count, total_ns].
         self._phase_folds: Dict[int, Dict[str, List[int]]] = {}
@@ -164,15 +266,23 @@ class StoreWriter:
 
     # -- obs traces ----------------------------------------------------------
 
-    def begin_trace(self, *, source: str, label: Optional[str] = None,
-                    meta: Optional[Dict[str, object]] = None) -> int:
-        """Register one obs trace; returns ``trace_id``."""
+    def begin_trace(self, *, source: str,
+                    label: Optional[str] = None) -> int:
+        """Register one obs trace; returns ``trace_id``.
+
+        The insert commits at once, so concurrent writers each claim a
+        distinct id up front and their record rows never collide.
+        """
         self._guard()
-        trace_id = storefmt.begin_trace(self._conn, source=source,
-                                        label=label, meta=meta)
+        with self._conn:
+            cursor = self._conn.execute(
+                "INSERT INTO traces (label, source) VALUES (?, ?)",
+                (label, source))
+        trace_id = cursor.lastrowid
+        assert trace_id is not None
         self._phase_folds[trace_id] = {}
         self._trace_seq[trace_id] = 0
-        self._trace_records[trace_id] = 1 if meta is not None else 0
+        self._trace_records[trace_id] = 0
         return trace_id
 
     def add_obs_record(self, trace_id: int,
@@ -183,12 +293,18 @@ class StoreWriter:
             self._trace_records.get(trace_id, 0) + 1)
         kind = record.get("kind")
         if kind == "meta":
-            storefmt.set_trace_meta(self._conn, trace_id, record)
+            # The header lives in the trace registry, not the row log.
+            with self._conn:
+                self._conn.execute(
+                    "UPDATE traces SET level = ?, schema_version = ?, "
+                    "clock = ? WHERE trace_id = ?",
+                    (record.get("level"), record.get("schema"),
+                     record.get("clock"), trace_id),
+                )
             return
         seq = self._trace_seq.get(trace_id, 0) + 1
         self._trace_seq[trace_id] = seq
-        self._obs_rows.append(
-            storefmt.record_to_row(trace_id, seq, record))
+        self._obs_rows.append(record_to_row(trace_id, seq, record))
         name = str(record.get("name", ""))
         attrs = record.get("attrs")
         attrs = attrs if isinstance(attrs, dict) else {}
@@ -204,9 +320,7 @@ class StoreWriter:
                 attrs.get("policy"), attrs.get("phase"),
                 attrs.get("region"), attrs.get("pages"),
                 attrs.get("source"), attrs.get("destination"),
-                attrs.get("rule"),
-                json.dumps(attrs, sort_keys=True,
-                           separators=(",", ":")) if attrs else None,
+                attrs.get("rule"), _compact(attrs) if attrs else None,
             ))
 
     def finish_trace(self, trace_id: int) -> None:
@@ -215,6 +329,9 @@ class StoreWriter:
         fold = self._phase_folds.pop(trace_id, {})
         for phase, (count, total_ns) in fold.items():
             self._phase_metrics.append((trace_id, phase, count, total_ns))
-        storefmt.finish_trace(self._conn, trace_id,
-                              self._trace_records.pop(trace_id, 0))
+        with self._conn:
+            self._conn.execute(
+                "UPDATE traces SET n_records = ? WHERE trace_id = ?",
+                (self._trace_records.pop(trace_id, 0), trace_id),
+            )
         self._trace_seq.pop(trace_id, None)

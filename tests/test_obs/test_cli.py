@@ -52,6 +52,13 @@ class TestSummary:
         assert main(["obs", "summary", str(tmp_path / "nope.jsonl")]) == 2
         assert "no such trace" in capsys.readouterr().err
 
+    def test_trace_id_on_jsonl_is_an_error(self, trace, capsys):
+        assert main(["obs", "summary", str(trace), "--trace-id", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--trace-id" in captured.err
+
 
 class TestValidate:
     def test_flags_broken_trace(self, tmp_path, capsys):

@@ -1,19 +1,17 @@
-"""SqliteSink: live telemetry streaming into the embedded store."""
+"""The sqlite format as seen from obs: path sniffing and the row codec.
 
-import os
+Runs write JSONL only; these pin the two pieces of ``repro.store`` an
+obs trace meets on its way into a store, and that ``configure`` keeps
+writing JSONL.
+"""
+
 import sqlite3
 
 import pytest
 
-from repro.obs import OBS, SqliteSink, configure, shutdown
-from repro.obs.storefmt import (
-    SELECT_OBS_RECORDS,
-    connect,
-    is_sqlite_path,
-    read_trace_records,
-    record_to_row,
-    row_to_record,
-)
+from repro.obs import OBS, JsonlSink, configure, shutdown
+from repro.store.schema import is_sqlite_path
+from repro.store.writer import record_to_row, row_to_record
 
 
 class TestIsSqlitePath:
@@ -59,117 +57,11 @@ class TestRecordRoundTrip:
         assert row_to_record(record_to_row(1, 1, record)[2:]) == record
 
 
-class TestSqliteSink:
-    def test_records_round_trip_in_order(self, tmp_path):
-        db = tmp_path / "t.sqlite"
-        sink = SqliteSink(db, batch_size=2)
-        records = [
-            {"kind": "span", "name": "sim.phase", "t_ns": 0, "dur_ns": 9,
-             "attrs": {"phase": 0}},
-            {"kind": "event", "name": "migration.decision", "t_ns": 1,
-             "attrs": {"pages": 8}},
-            {"kind": "metric", "type": "counter", "name": "c",
-             "value": 2.0},
-        ]
-        for record in records:
-            sink.emit(record)
-        sink.close()
-        conn = connect(db, readonly=True)
-        assert read_trace_records(conn, sink.trace_id) == records
-        conn.close()
-
-    def test_meta_lands_in_trace_registry(self, tmp_path):
-        db = tmp_path / "t.sqlite"
-        sink = SqliteSink(db)
-        sink.emit({"kind": "meta", "schema": 1, "level": "detail",
-                   "clock": "monotonic_ns"})
-        sink.emit({"kind": "event", "name": "e", "t_ns": 0})
-        sink.close()
-        conn = connect(db, readonly=True)
-        level, schema, n = conn.execute(
-            "SELECT level, schema_version, n_records FROM traces "
-            "WHERE trace_id = ?", (sink.trace_id,)).fetchone()
-        conn.close()
-        assert (level, schema) == ("detail", 1)
-        assert n == 2  # meta counts toward the trace's record total
-
-    def test_second_session_appends_a_new_trace(self, tmp_path):
-        db = tmp_path / "t.sqlite"
-        first = SqliteSink(db)
-        first.emit({"kind": "event", "name": "a", "t_ns": 0})
-        first.close()
-        second = SqliteSink(db)
-        second.emit({"kind": "event", "name": "b", "t_ns": 0})
-        second.close()
-        assert first.trace_id != second.trace_id
-        conn = connect(db, readonly=True)
-        assert conn.execute(
-            "SELECT COUNT(*) FROM traces").fetchone()[0] == 2
-        names = [row_to_record(row)["name"] for row in
-                 conn.execute(SELECT_OBS_RECORDS, (first.trace_id,))]
-        conn.close()
-        assert names == ["a"]  # the first trace was never truncated
-
-    def test_buffered_rows_land_on_close(self, tmp_path):
-        db = tmp_path / "t.sqlite"
-        sink = SqliteSink(db, batch_size=1000)
-        sink.emit({"kind": "event", "name": "e", "t_ns": 0})
-        reader = connect(db, readonly=True)
-        assert reader.execute(
-            "SELECT COUNT(*) FROM obs_records").fetchone()[0] == 0
-        sink.flush()
-        assert reader.execute(
-            "SELECT COUNT(*) FROM obs_records").fetchone()[0] == 1
-        sink.close()
-        reader.close()
-
-    def test_emit_after_close_raises(self, tmp_path):
-        sink = SqliteSink(tmp_path / "t.sqlite")
-        sink.close()
-        sink.close()  # idempotent
-        with pytest.raises(ValueError, match="closed"):
-            sink.emit({"kind": "event", "name": "e"})
-
-    def test_forked_child_emit_raises_and_close_is_noop(self, tmp_path):
-        sink = SqliteSink(tmp_path / "t.sqlite")
-        sink.emit({"kind": "event", "name": "parent", "t_ns": 0})
-        pid = os.fork()
-        if pid == 0:
-            # Child: emit must refuse, close must be inert.
-            try:
-                try:
-                    sink.emit({"kind": "event", "name": "child"})
-                except RuntimeError:
-                    sink.close()
-                    os._exit(0)
-                os._exit(1)
-            finally:
-                os._exit(2)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        sink.emit({"kind": "event", "name": "parent-after", "t_ns": 1})
-        sink.close()
-        conn = connect(tmp_path / "t.sqlite", readonly=True)
-        assert conn.execute(
-            "SELECT COUNT(*) FROM obs_records").fetchone()[0] == 2
-        conn.close()
-
-
 class TestConfigureDispatch:
-    def test_sqlite_suffix_selects_sqlite_sink(self, tmp_path):
-        db = tmp_path / "trace.sqlite"
-        configure(trace_path=str(db), level="basic")
-        assert isinstance(OBS._sink, SqliteSink)
-        OBS.event("e")
-        shutdown()
-        conn = connect(db, readonly=True)
-        assert conn.execute(
-            "SELECT COUNT(*) FROM obs_records").fetchone()[0] >= 1
-        conn.close()
-
     def test_jsonl_suffix_still_selects_jsonl(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         configure(trace_path=str(trace), level="basic")
+        assert isinstance(OBS._sink, JsonlSink)
         OBS.event("e")
         shutdown()
         assert '"kind":"event"' in trace.read_text()

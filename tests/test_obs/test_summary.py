@@ -2,7 +2,7 @@
 
 import json
 
-from repro.obs import read_trace, render_summary, summarize_trace
+from repro.obs import read_trace, render_summary, summarize_records
 
 
 def _trace_records():
@@ -26,7 +26,7 @@ def _trace_records():
 
 class TestSummarize:
     def test_folds_phases_spans_events_metrics(self):
-        summary = summarize_trace(_trace_records())
+        summary = summarize_records(_trace_records())
         assert summary["n_records"] == 7
         assert summary["phase_ns"] == {0: 2000000.0, 1: 2000000.0}
         assert summary["spans"]["sim.phase"]["count"] == 3
@@ -34,14 +34,14 @@ class TestSummarize:
         assert len(summary["metrics"]) == 2
 
     def test_empty_trace(self):
-        summary = summarize_trace([])
+        summary = summarize_records([])
         assert summary["n_records"] == 0
         assert summary["phase_ns"] == {}
 
 
 class TestRender:
     def test_sections_present(self):
-        text = render_summary(summarize_trace(_trace_records()))
+        text = render_summary(summarize_records(_trace_records()))
         assert "phase timeline (eval ms):" in text
         assert "phase 0" in text
         assert "migration.decision" in text
@@ -49,12 +49,12 @@ class TestRender:
         assert "n=2 mean=1.50" in text
 
     def test_no_phases_no_timeline(self):
-        text = render_summary(summarize_trace([_trace_records()[0]]))
+        text = render_summary(summarize_records([_trace_records()[0]]))
         assert "phase timeline" not in text
         assert "1 records" in text
 
     def test_width_is_respected(self):
-        summary = summarize_trace(_trace_records())
+        summary = summarize_records(_trace_records())
         narrow = render_summary(summary, width=8)
         wide = render_summary(summary, width=60)
         assert max(len(line) for line in narrow.splitlines()) \

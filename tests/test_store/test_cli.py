@@ -117,12 +117,36 @@ class TestObsSummaryOnStore:
         assert "sqlite store" in capsys.readouterr().err
 
     def test_live_sink_store_summarizes(self, tmp_path, capsys):
-        """run --obs-trace foo.sqlite -> obs summary foo.sqlite works."""
-        db = tmp_path / "live.sqlite"
+        """run --obs-trace t.jsonl -> store ingest -> obs summary DB."""
+        trace = tmp_path / "t.jsonl"
         assert main(["run", "fig8", "--phases", "3", "--warmup", "1",
-                     "--workloads", "bfs", "--obs-trace", str(db)]) == 0
+                     "--workloads", "bfs", "--obs-trace", str(trace)]) == 0
+        db = tmp_path / "s.sqlite"
+        assert main(["store", "ingest", "--db", str(db), str(trace)]) == 0
         capsys.readouterr()
         assert main(["obs", "summary", str(db)]) == 0
         out = capsys.readouterr().out
         assert "phase timeline (eval ms):" in out
         assert "sim.phase" in out
+        assert main(["obs", "summary", str(trace)]) == 0
+        assert capsys.readouterr().out == out
+
+
+class TestObsTraceRefusesStore:
+    @pytest.mark.parametrize("command", [
+        ["run", "fig2"],
+        ["export", "--experiments", "fig2"],
+    ])
+    def test_sqlite_path_is_exit_2_and_writes_nothing(
+            self, tmp_path, capsys, command):
+        db = tmp_path / "t.sqlite"
+        argv = list(command)
+        if argv[0] == "export":
+            argv += ["--out", str(tmp_path / "out")]
+        argv += ["--phases", "3", "--warmup", "1", "--workloads", "bfs",
+                 "--obs-trace", str(db)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "starnuma store ingest" in err
+        assert list(tmp_path.iterdir()) == []

@@ -1,19 +1,19 @@
-"""Ingestion: JSONL traces, export directories, trace indexing."""
+"""Ingestion: JSONL traces and export directories."""
 
 import json
 
 import pytest
 
-from repro.obs.storefmt import connect, read_trace_records
 from repro.store import (
     StoreIngestError,
     StoreWriter,
-    index_traces,
     ingest_export_dir,
     ingest_path,
     ingest_trace,
     open_store,
 )
+from repro.store.schema import SELECT_OBS_RECORDS, connect
+from repro.store.writer import row_to_record
 
 from tests.test_store.conftest import synthetic_records, write_trace
 
@@ -27,7 +27,8 @@ class TestIngestTrace:
         with StoreWriter(db) as writer:
             trace_id = ingest_trace(writer, trace_path)
         conn = connect(db, readonly=True)
-        stored = read_trace_records(conn, trace_id)
+        stored = [row_to_record(row) for row in
+                  conn.execute(SELECT_OBS_RECORDS, (trace_id,))]
         meta = conn.execute(
             "SELECT level, schema_version, n_records FROM traces "
             "WHERE trace_id = ?", (trace_id,)).fetchone()
@@ -156,25 +157,3 @@ class TestIngestPath:
                 ingest_path(writer, other)
             with pytest.raises(StoreIngestError, match="no such"):
                 ingest_path(writer, tmp_path / "nope.jsonl")
-
-
-class TestIndexTraces:
-    def test_materializes_live_sink_traces(self, tmp_path):
-        from repro.obs import SqliteSink
-
-        db = tmp_path / "live.sqlite"
-        sink = SqliteSink(db)
-        for record in synthetic_records():
-            sink.emit(record)
-        sink.close()
-        conn = open_store(db)
-        indexed = index_traces(conn)
-        phases = conn.execute(
-            "SELECT COUNT(*) FROM phase_metrics").fetchone()[0]
-        decisions = conn.execute(
-            "SELECT COUNT(*) FROM migration_decisions").fetchone()[0]
-        assert indexed == [sink.trace_id]
-        assert (phases, decisions) == (3, 6)
-        # Idempotent: a second pass indexes nothing new.
-        assert index_traces(conn) == []
-        conn.close()

@@ -4,9 +4,8 @@ import sqlite3
 
 import pytest
 
-from repro.obs.storefmt import StoreSchemaError, connect, schema_versions
-from repro.store import STORE_SCHEMA_VERSION, open_store
-from repro.store.schema import ensure_schema
+from repro.store import STORE_SCHEMA_VERSION, StoreSchemaError, open_store
+from repro.store.schema import ensure_schema, schema_versions
 
 
 class TestOpenStore:

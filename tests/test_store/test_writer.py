@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.obs.storefmt import connect
+from repro.store.schema import connect
 from repro.store import StoreWriter, open_store
 from repro.store.writer import scenario_key
 
