@@ -3,18 +3,17 @@
 Storage is a flat byte vector indexed by the topology's dense directed
 :class:`~repro.topology.linkindex.LinkIndex` slots (one slot per
 direction of every coherent link, one shared slot per DRAM channel
-bundle). The historical keyed interface -- ``add(hop, ...)``,
-``delay_ns(hop, ...)`` and friends -- remains as a thin facade over the
-vector, while the timing kernel reads/writes whole vectors: scatter-adds
-of precompiled route index arrays on the recording side, and one
-element-wise M/D/1 expression per fixed-point iteration on the
-evaluation side.
+bundle). The timing kernel writes and reads whole vectors:
+scatter-adds of precompiled route index arrays on the recording side,
+and one element-wise M/D/1 expression per fixed-point iteration on the
+evaluation side. The keyed reads -- ``delay_ns(hop, ...)`` and friends
+-- serve the hottest-link diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import List
 
 import numpy as np
 
@@ -25,14 +24,10 @@ from repro.interconnect.queueing import (
     mdl_wait_ns_array,
     service_time_ns,
 )
-from repro.topology.linkindex import CompiledRoute
 from repro.topology.model import DirectedLink, Topology
 
 #: Bytes of header/CRC overhead accompanying each request or data message.
 MESSAGE_HEADER_BYTES = 8.0
-
-#: A route argument: hop objects, or the precompiled slot-array form.
-RouteLike = Union[Iterable[DirectedLink], CompiledRoute]
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,10 @@ class TrafficSample:
 class LinkLoads:
     """Accumulates traffic and evaluates queueing delay per link direction.
 
-    Traffic is recorded in bytes; :meth:`delay_ns` and friends convert to
-    offered bandwidth given the window duration decided by the caller (the
-    timing model knows the phase's wall-clock span). DRAM "links" are not
+    Traffic is charged in bytes into :attr:`bytes_vector`;
+    :meth:`delay_ns` and friends convert to offered bandwidth given the
+    window duration decided by the caller (the timing model knows the
+    phase's wall-clock span). DRAM "links" are not
     directional: both directions of a DRAM link id alias the same queue,
     which the slot assignment collapses onto a single shared slot.
     """
@@ -87,63 +83,6 @@ class LinkLoads:
     def bytes_vector(self) -> np.ndarray:
         """The per-slot charged bytes (a live view, not a copy)."""
         return self._vec
-
-    # -- recording ---------------------------------------------------------
-
-    def add(self, hop: DirectedLink, n_bytes: float) -> None:
-        """Charge ``n_bytes`` of traffic to one direction of a link."""
-        if n_bytes < 0:
-            raise ValueError(f"traffic bytes must be >= 0, got {n_bytes}")
-        self._vec[self.index.slot(hop)] += n_bytes
-
-    def add_access_traffic(self, route: RouteLike,
-                           accesses: float, writeback_fraction: float,
-                           block_bytes: float = CACHE_BLOCK_BYTES) -> None:
-        """Charge the traffic of ``accesses`` LLC misses along ``route``.
-
-        Every miss sends a small request in the route direction and pulls a
-        data fill in the reverse direction; a ``writeback_fraction`` of
-        misses additionally push a dirty block in the route direction.
-        """
-        if accesses < 0:
-            raise ValueError(f"access count must be >= 0, got {accesses}")
-        if not 0.0 <= writeback_fraction <= 1.0:
-            raise ValueError(
-                f"writeback fraction must be in [0, 1], got {writeback_fraction}"
-            )
-        request_bytes = accesses * (
-            MESSAGE_HEADER_BYTES
-            + writeback_fraction * (block_bytes + MESSAGE_HEADER_BYTES)
-        )
-        fill_bytes = accesses * (block_bytes + MESSAGE_HEADER_BYTES)
-        if isinstance(route, CompiledRoute):
-            np.add.at(self._vec, route.forward_slots, request_bytes)
-            np.add.at(self._vec, route.reverse_slots, fill_bytes)
-            return
-        for hop in route:
-            self.add(hop, request_bytes)
-            self.add(hop.reversed(), fill_bytes)
-
-    def add_transfer_traffic(self, route: RouteLike,
-                             transfers: float,
-                             block_bytes: float = CACHE_BLOCK_BYTES) -> None:
-        """Charge coherence block-transfer data movement along ``route``.
-
-        Block-transfer routes are already oriented in the data direction
-        (see :meth:`RouteTable.block_transfer_route`), so the data block is
-        charged forward and only a header-sized ack flows back.
-        """
-        if transfers < 0:
-            raise ValueError(f"transfer count must be >= 0, got {transfers}")
-        data_bytes = transfers * (block_bytes + MESSAGE_HEADER_BYTES)
-        ack_bytes = transfers * MESSAGE_HEADER_BYTES
-        if isinstance(route, CompiledRoute):
-            np.add.at(self._vec, route.forward_slots, data_bytes)
-            np.add.at(self._vec, route.reverse_slots, ack_bytes)
-            return
-        for hop in route:
-            self.add(hop, data_bytes)
-            self.add(hop.reversed(), ack_bytes)
 
     # -- vector evaluation ---------------------------------------------------
 
@@ -184,21 +123,6 @@ class LinkLoads:
                                   hop.link.capacity_gbps)
         return mdl_wait_ns(self.utilization(hop, window_ns), service,
                            burstiness=self.burstiness)
-
-    def fill_delay_ns(self, route: Iterable[DirectedLink],
-                      window_ns: float) -> float:
-        """Total queueing delay along the data-fill direction of a route.
-
-        The fill traverses each hop of the requester->memory route in
-        reverse; this is the delay component that inflates the latency of a
-        demand load, so it is what AMAT contention accounts.
-        """
-        return sum(self.delay_ns(hop.reversed(), window_ns) for hop in route)
-
-    def transfer_delay_ns(self, route: Iterable[DirectedLink],
-                          window_ns: float) -> float:
-        """Queueing delay along an already data-oriented transfer route."""
-        return sum(self.delay_ns(hop, window_ns) for hop in route)
 
     def sample(self, hop: DirectedLink, window_ns: float) -> TrafficSample:
         """Capture the utilization/wait state of one link direction."""

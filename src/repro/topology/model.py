@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
+import numpy as np
+
 from repro.config import SystemConfig
 
 if TYPE_CHECKING:
@@ -30,6 +32,11 @@ class AccessType(enum.Enum):
     def is_block_transfer(self) -> bool:
         return self in (AccessType.BLOCK_TRANSFER_SOCKET,
                         AccessType.BLOCK_TRANSFER_POOL)
+
+
+#: Every access type in declaration order: the code of a type in
+#: :meth:`Topology.access_kinds` is its position here.
+ACCESS_TYPES: Tuple[AccessType, ...] = tuple(AccessType)
 
 
 class LinkKind(enum.Enum):
@@ -153,6 +160,28 @@ class Topology:
         if self.same_chassis(requester, location):
             return AccessType.INTRA_CHASSIS
         return AccessType.INTER_CHASSIS
+
+    def access_kinds(self) -> np.ndarray:
+        """Access-type codes of every (socket, location column) pair.
+
+        An ``(n_sockets, n_sockets + 1)`` int8 table, memoized like
+        :meth:`link_index`: entry ``[s, c]`` is the position in
+        :data:`ACCESS_TYPES` of ``classify(s, c)``, the last column
+        standing for the pool. A pool-less system holds -1 there.
+        """
+        kinds = getattr(self, "_access_kinds", None)
+        if kinds is None:
+            n = self.n_sockets
+            kinds = np.full((n, n + 1), -1, dtype=np.int8)
+            for socket in range(n):
+                for column in range(n + 1):
+                    if column == n and not self.has_pool:
+                        continue
+                    location = POOL_LOCATION if column == n else column
+                    kinds[socket, column] = ACCESS_TYPES.index(
+                        self.classify(socket, location))
+            self._access_kinds = kinds
+        return kinds
 
     def unloaded_latency_ns(self, access_type: AccessType) -> float:
         """Unloaded end-to-end latency of one access of ``access_type``."""

@@ -96,6 +96,10 @@ class PhaseTrace:
         """``dense()[:, pages]``, densifying only those columns."""
         return self.index.columns(self.values, pages)
 
+    def columns_total(self, pages: np.ndarray) -> int:
+        """``columns(pages).sum()``, with no dense block."""
+        return self.index.columns_total(self.values, pages)
+
     def at_sockets(self, sockets: np.ndarray) -> np.ndarray:
         """Per page ``p``, the count at cell ``(sockets[p], p)``."""
         return self.index.at_sockets(self.values, sockets)

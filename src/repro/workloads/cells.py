@@ -90,6 +90,25 @@ class CountIndex:
         lays it out, so float sums over it round identically.
         """
         pages = np.asarray(pages, dtype=np.int64)
+        entries, lengths = self._page_entries(pages)
+        cells = (np.repeat(np.arange(pages.size) * self.n_sockets, lengths)
+                 + self.sockets[entries])
+        out = np.zeros(self.n_sockets * pages.size, dtype=np.int64)
+        out[cells] = values[entries]
+        return out.reshape((self.n_sockets, pages.size), order="F")
+
+    def columns_total(self, values: np.ndarray, pages: np.ndarray) -> int:
+        """``columns(values, pages).sum()``, with no dense block.
+
+        Sums only the entries of ``pages``, in page-major order; the
+        sum is over integers, so any order gives the same total.
+        """
+        entries, _ = self._page_entries(np.asarray(pages, dtype=np.int64))
+        return int(values[entries].astype(np.int64, copy=False).sum())
+
+    def _page_entries(self, pages: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Entries of ``pages``, page after page, and each page's count."""
         order, starts = self._page_major
         first = starts[pages]
         lengths = starts[pages + 1] - first
@@ -97,12 +116,7 @@ class CountIndex:
         # Page-major slots of every requested cell, page after page.
         slots = np.arange(ends[-1] if ends.size else 0) + np.repeat(
             first - ends + lengths, lengths)
-        entries = order[slots]
-        cells = (np.repeat(np.arange(pages.size) * self.n_sockets, lengths)
-                 + self.sockets[entries])
-        out = np.zeros(self.n_sockets * pages.size, dtype=np.int64)
-        out[cells] = values[entries]
-        return out.reshape((self.n_sockets, pages.size), order="F")
+        return order[slots], lengths
 
     def at_sockets(self, values: np.ndarray,
                    sockets: np.ndarray) -> np.ndarray:
