@@ -37,6 +37,7 @@ from repro.sim.results import PhaseTiming, SimulationResult
 from repro.sim.timing import (
     FixedPointSettings,
     PhaseTimingModel,
+    shared_geometry,
     system_geometry,
 )
 from repro.topology import RouteTable
@@ -66,7 +67,11 @@ class Checkpoint:
     under ``page_map``, keyed by replication plan (see
     :meth:`~repro.sim.timing.PhaseTimingModel.classify`): every run
     that reads the checkpoint -- other systems sharing its Step B, the
-    calibration run, bottleneck analysis -- classifies it once.
+    calibration run, bottleneck analysis -- classifies it once. Step B
+    takes the dict from :meth:`SimulationSetup.classification_memo`, so
+    checkpoints of one phase with equal maps share it, across Step B
+    lists too (a fault rung that falls back to the baseline policy, or
+    a run before its pool fails).
     """
 
     phase: int
@@ -90,10 +95,13 @@ class SimulationSetup:
     mode and static map, ``has_pool``, the migration config, and -- with
     a pool -- its capacity fraction and failure phase. Systems that
     differ only in latency, bandwidth or link faults therefore share
-    one list of checkpoints. It also keeps the first-touch page
-    locations (:meth:`Simulator.initial_page_map`), which depend only
-    on the seed and the population. A copy made with
-    ``dataclasses.replace`` starts with neither.
+    one list of checkpoints. Classification memos are kept by content,
+    one per phase and page map (:meth:`classification_memo`), so lists
+    whose maps agree at a phase classify it once. It also keeps the
+    first-touch page locations (:meth:`Simulator.initial_page_map`),
+    which depend only on the seed and the population. These caches
+    live and die with the setup; a copy made with
+    ``dataclasses.replace`` starts with none of them.
     """
 
     profile: WorkloadProfile
@@ -102,6 +110,9 @@ class SimulationSetup:
     seed: int
     _checkpoints: Dict[Tuple, List[Checkpoint]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _classifications: Dict[
+        Tuple[int, bytes], Dict[Optional[str], PhaseClassification]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
     _first_touch: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -160,6 +171,20 @@ class SimulationSetup:
         scale = SimulationSetup.footprint_scale(profile)
         return max(MIN_PHASE_INSTRUCTIONS, int(nominal * scale * multiplier))
 
+    def classification_memo(self, phase: int, page_map: PageMap
+                            ) -> Dict[Optional[str], PhaseClassification]:
+        """The classification memo of ``phase`` under ``page_map``.
+
+        Classification reads the phase's trace, the population and the
+        map's locations (plus a replication plan, which keys the entries
+        inside), so the memo is keyed by the phase and a hash of the
+        locations: every checkpoint of that phase with an equal map gets
+        the same dict.
+        """
+        digest = hashlib.blake2b(page_map.locations.tobytes(),
+                                 digest_size=16).digest()
+        return self._classifications.setdefault((phase, digest), {})
+
     def total_counts(self) -> np.ndarray:
         """Whole-run (socket, page) access counts -- the oracle's input.
 
@@ -204,10 +229,13 @@ class Simulator:
         """The timing model for one phase's fault state.
 
         Clean phases (and fault-free runs) reuse the single ideal model,
-        so an empty schedule is exactly the historical code path. Faulted
-        states are cached per distinct state, not per phase. May raise
-        :class:`~repro.faults.PartitionedTopologyError` while recomputing
-        routes if the state severs part of the fabric.
+        so an empty schedule is exactly the historical code path. Each
+        distinct faulted state gets one model per simulator, on the
+        ``(Topology, RouteTable)`` every simulator of this system shares
+        for that state (:func:`~repro.sim.timing.shared_geometry`). May
+        raise :class:`~repro.faults.PartitionedTopologyError` while
+        computing routes if the state severs part of the fabric; such a
+        state is never cached, so every call raises.
         """
         if self.faults.is_empty:
             return self.timing
@@ -215,8 +243,9 @@ class Simulator:
         if state.is_clean:
             return self.timing
         if state not in self._fault_timing:
-            topology = faulted_topology(self.topology, state)
-            routes = RouteTable(topology)
+            topology, routes = shared_geometry(
+                (self.system, state),
+                lambda: faulted_topology(self.topology, state))
             self._fault_timing[state] = PhaseTimingModel(
                 self.system, topology, routes,
                 self.setup.population, self._settings,
@@ -358,11 +387,11 @@ class Simulator:
 
         if mode == "static":
             page_map = static_map or self.static_oracle_map()
-            return [Checkpoint(trace.phase, page_map.copy(), None)
+            return [self._checkpoint(trace.phase, page_map.copy(), None)
                     for trace in traces]
         if mode == "none":
             page_map = self.initial_page_map()
-            return [Checkpoint(trace.phase, page_map.copy(), None)
+            return [self._checkpoint(trace.phase, page_map.copy(), None)
                     for trace in traces]
 
         page_map = self.initial_page_map()
@@ -374,10 +403,16 @@ class Simulator:
             # decided at the previous phase's end executes (and is
             # charged) during this phase.
             checkpoints.append(
-                Checkpoint(trace.phase, page_map.copy(), pending)
+                self._checkpoint(trace.phase, page_map.copy(), pending)
             )
             pending = decide(trace, page_map)
         return checkpoints
+
+    def _checkpoint(self, phase: int, page_map: PageMap,
+                    batch: Optional[MigrationBatch]) -> Checkpoint:
+        """A checkpoint holding the setup's memo for its phase and map."""
+        return Checkpoint(phase, page_map, batch,
+                          self.setup.classification_memo(phase, page_map))
 
     def _make_policy(self, initial_map: PageMap):
         """Build this architecture's per-phase decision function."""
@@ -505,16 +540,15 @@ class Simulator:
 
 
 def _migration_totals(checkpoints: List[Checkpoint]) -> Tuple[int, int]:
-    """(demand pages, pool pages) migrated over a run's checkpoints."""
+    """(demand pages, pool pages) migrated over a run's checkpoints.
+
+    Victim evictions out of the pool are not demand migrations. Each
+    batch counted its totals as its moves were added.
+    """
     demand_pages = 0
     pool_pages = 0
     for checkpoint in checkpoints:
-        if checkpoint.batch is None:
-            continue
-        for move in checkpoint.batch.moves:
-            if move.from_pool:
-                continue  # victim evictions are not demand migrations
-            demand_pages += move.n_pages
-            if move.to_pool:
-                pool_pages += move.n_pages
+        if checkpoint.batch is not None:
+            demand_pages += checkpoint.batch.demand_pages
+            pool_pages += checkpoint.batch.demand_pages_to_pool
     return demand_pages, pool_pages

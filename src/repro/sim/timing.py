@@ -27,7 +27,8 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List, Optional,
+                    Tuple)
 
 import numpy as np
 
@@ -282,28 +283,41 @@ def _compiled_kernel(model: "PhaseTimingModel") -> _VectorKernel:
     return kernel
 
 
-#: Topology and route table of each ideal (fault-free) system, keyed by
-#: its frozen :class:`SystemConfig`: every simulator of one system --
-#: the many workloads of a figure -- shares one pair, and with it the
-#: table's memoized fingerprint and migration slots.
-#: Bounded LRU; faulted states build their own tables.
-_GEOMETRY_CACHE: "OrderedDict[SystemConfig, Tuple[Topology, RouteTable]]" = (
+#: Topology and route table of each fabric a run times, keyed by what
+#: the pair is built from: the frozen :class:`SystemConfig` for an
+#: ideal fabric, ``(SystemConfig, FaultState)`` for a faulted one. Every
+#: simulator of one system -- the many workloads of a figure -- shares
+#: one ideal pair, and every simulator reaching one fault state shares
+#: one faulted pair, with the table's memoized fingerprint and
+#: migration slots. A state that partitions the fabric raises while its
+#: table is built, so it is never stored. Bounded LRU over both kinds.
+_GEOMETRY_CACHE: "OrderedDict[Hashable, Tuple[Topology, RouteTable]]" = (
     OrderedDict())
 _GEOMETRY_CACHE_LIMIT = 8
 
 
-def system_geometry(system: SystemConfig) -> Tuple[Topology, RouteTable]:
-    """The shared ``(Topology, RouteTable)`` of ``system``'s ideal fabric."""
-    cached = _GEOMETRY_CACHE.get(system)
+def shared_geometry(key: Hashable, build: Callable[[], Topology]
+                    ) -> Tuple[Topology, RouteTable]:
+    """The cached ``(Topology, RouteTable)`` under ``key``.
+
+    On a miss, ``build()`` makes the topology and its route table is
+    built from it; nothing is stored if either raises.
+    """
+    cached = _GEOMETRY_CACHE.get(key)
     if cached is not None:
-        _GEOMETRY_CACHE.move_to_end(system)
+        _GEOMETRY_CACHE.move_to_end(key)
         return cached
-    topology = Topology(system)
+    topology = build()
     geometry = (topology, RouteTable(topology))
-    _GEOMETRY_CACHE[system] = geometry
+    _GEOMETRY_CACHE[key] = geometry
     while len(_GEOMETRY_CACHE) > _GEOMETRY_CACHE_LIMIT:
         _GEOMETRY_CACHE.popitem(last=False)
     return geometry
+
+
+def system_geometry(system: SystemConfig) -> Tuple[Topology, RouteTable]:
+    """The shared ``(Topology, RouteTable)`` of ``system``'s ideal fabric."""
+    return shared_geometry(system, lambda: Topology(system))
 
 
 class PhaseTimingModel:

@@ -2,10 +2,12 @@
 
 Checkpoints live on the :class:`SimulationSetup`, keyed by
 :meth:`Simulator.step_b_key`; each checkpoint memoizes its
-classification. These tests pin the key as complete (every sharing
-variant equals a from-scratch Step B), as discriminating (variants that
-decide differently never share), and the memo as equal to a direct
-``classify_phase`` call.
+classification in a dict the setup keeps per phase and map content
+(:meth:`SimulationSetup.classification_memo`). These tests pin the key
+as complete (every sharing variant equals a from-scratch Step B), as
+discriminating (variants that decide differently never share), the
+memo as equal to a direct ``classify_phase`` call, and the memo as
+shared by every checkpoint list whose map agrees at a phase.
 """
 
 import dataclasses
@@ -238,3 +240,96 @@ class TestSharedClassification:
             calibration=calibration)
         # Calibration, closed loop and a bandwidth variant: one pass.
         assert len(calls) == len(copy.traces)
+
+
+class TestClassificationSharedByContent:
+    """The fault ladder repeats maps across Step B lists; memos follow."""
+
+    FAIL_PHASE = 6  # the pool-dies-midrun rung
+
+    @pytest.fixture(scope="class")
+    def ladder(self, setup):
+        copy = dataclasses.replace(setup)
+        runs = {"baseline": Simulator(baseline_config(), copy).checkpoints()}
+        for scenario in scenarios():
+            runs[scenario.name] = Simulator(
+                starnuma_config(), copy,
+                faults=scenario.schedule).checkpoints()
+        return copy, runs
+
+    def test_pool_dead_shares_the_baseline_objects(self, ladder):
+        copy, runs = ladder
+        base = Simulator(baseline_config(), copy)
+        calibration = base.calibrate()
+        base.run(calibration=calibration)
+        dead = [scenario for scenario in scenarios()
+                if scenario.name == "pool-dead"][0]
+        Simulator(starnuma_config(), copy, faults=dead.schedule).run(
+            calibration=calibration)
+        assert runs["pool-dead"] is not runs["baseline"]
+        for mine, theirs in zip(runs["pool-dead"], runs["baseline"]):
+            assert mine.classifications is theirs.classifications
+            assert mine.classifications[None] is theirs.classifications[None]
+
+    def test_midrun_failure_shares_the_healthy_memos_before_it(self, ladder):
+        _, runs = ladder
+        midrun, healthy = runs["pool-dies-midrun"], runs["none"]
+        assert midrun is not healthy
+        for phase in range(self.FAIL_PHASE):
+            assert (midrun[phase].classifications
+                    is healthy[phase].classifications), phase
+        # Evacuation starts with the batch decided at the phase before
+        # the failure, so from there on the maps, and memos, part.
+        assert (midrun[self.FAIL_PHASE].classifications
+                is not healthy[self.FAIL_PHASE].classifications)
+
+    def test_memos_are_shared_exactly_when_maps_are_equal(self, ladder):
+        _, runs = ladder
+        lists = list(runs.values())
+        for phase in range(len(lists[0])):
+            for first in lists:
+                for second in lists:
+                    one, two = first[phase], second[phase]
+                    same = np.array_equal(one.page_map.locations,
+                                          two.page_map.locations)
+                    assert (one.classifications
+                            is two.classifications) == same
+
+    def test_classify_runs_once_per_distinct_input(self, setup,
+                                                   monkeypatch):
+        from repro.sim import timing
+
+        calls = []
+        real = timing.classify_phase
+
+        def counting(trace, page_map, population, replication=None):
+            calls.append((trace.phase, page_map.locations.tobytes(),
+                          replication is not None))
+            return real(trace, page_map, population, replication)
+
+        monkeypatch.setattr(timing, "classify_phase", counting)
+        copy = dataclasses.replace(setup)
+        base = Simulator(baseline_config(), copy)
+        calibration = base.calibrate()
+        base.run(calibration=calibration)
+        replicated = np.zeros(copy.population.n_pages, dtype=bool)
+        replicated[::3] = True
+        plan = ReplicationPlan(replicated=replicated, extra_copies=7)
+        Simulator(baseline_config(), copy, replication=plan).run(
+            calibration=calibration)
+        for scenario in scenarios():
+            Simulator(starnuma_config(), copy,
+                      faults=scenario.schedule).run(calibration=calibration)
+
+        lists = list(copy._checkpoints.values())
+        distinct = {(checkpoint.phase,
+                     checkpoint.page_map.locations.tobytes(), False)
+                    for checkpoints in lists for checkpoint in checkpoints}
+        distinct |= {(checkpoint.phase,
+                      checkpoint.page_map.locations.tobytes(), True)
+                     for checkpoint in base.checkpoints()}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == distinct
+        # Fewer plan-less classifications than (list, phase) pairs.
+        pairs = sum(len(checkpoints) for checkpoints in lists)
+        assert len([key for key in distinct if not key[2]]) < pairs
