@@ -8,12 +8,13 @@ empty geometry cache, so it pays every classification and every route
 table once.
 
 Two of the rungs repeat work: ``pool-dead`` falls back to the baseline
-policy from phase 0, so its maps equal the baseline's, and
+policy from phase 0, so it makes the baseline's decisions, and
 ``pool-dies-midrun`` matches the healthy run until its pool fails.
-Classifications are kept per phase and map content, and faulted route
-tables per fault state, so the counting test asserts one
-``classify_phase`` call per distinct (phase, map) and one
-``RouteTable`` build per distinct system or fault state.
+``pool-dead`` shares the baseline's Step B list, classifications are
+kept per phase and map content, and faulted route tables per fault
+state, so the counting test asserts one ``BaselinePolicy.decide`` call
+per baseline phase, one ``classify_phase`` call per distinct (phase,
+map) and one ``RouteTable`` build per distinct system or fault state.
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_fault_ladder.py \\
         --benchmark-json bench-fault-ladder.json
@@ -25,6 +26,7 @@ import pytest
 
 from repro.config import baseline_config, starnuma_config
 from repro.experiments.fault_study import scenarios
+from repro.migration import BaselinePolicy
 from repro.sim import SimulationSetup, Simulator, timing
 from repro.workloads import get_workload
 
@@ -67,7 +69,9 @@ def test_bench_fault_ladder(setup, benchmark):
 def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
     classified = []
     built = []
+    decided = []
     classify, route_table = timing.classify_phase, timing.RouteTable
+    decide = BaselinePolicy.decide
 
     def counting_classify(trace, page_map, *args):
         classified.append((trace.phase, page_map.locations.tobytes()))
@@ -77,6 +81,11 @@ def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
         built.append(topology)
         return route_table(topology)
 
+    def counting_decide(policy, trace, page_map):
+        decided.append((trace.phase, page_map.locations.tobytes()))
+        return decide(policy, trace, page_map)
+
+    monkeypatch.setattr(BaselinePolicy, "decide", counting_decide)
     monkeypatch.setattr(timing, "classify_phase", counting_classify)
     monkeypatch.setattr(timing, "RouteTable", counting_routes)
     cold(setup)
@@ -96,6 +105,14 @@ def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
           f"checkpoints; {len(built)} route tables for 2 systems and "
           f"{len(distinct_states)} fault states "
           f"({sum(map(len, states))} per simulator)")
+    # Every baseline phase is decided once; the only other baseline
+    # decisions are ``pool-dies-midrun``'s after its pool has drained.
+    baseline = ran._checkpoints[Simulator(baseline_config(), ran)
+                                .step_b_key()]
+    before = [(checkpoint.phase, checkpoint.page_map.locations.tobytes())
+              for checkpoint in baseline]
+    assert [call for call in decided if call in before] == before
+    assert len(decided) == len(set(decided))
     assert len(classified) == len(maps)
     assert set(classified) == maps
     assert len(maps) < phase_lists

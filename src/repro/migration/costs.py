@@ -66,19 +66,19 @@ class MigrationCostModel:
 
         ``counts`` holds the phase's sparse per-(socket, page) counts (a
         :class:`repro.trace.PhaseTrace`); only the moved pages' entries
-        are read, and summed as integers. Accesses to a migrating page
-        arriving inside its in-flight window stall for half the window
-        on average.
+        are read, and summed as integers once per batch and trace
+        (:meth:`MigrationBatch.accesses_in`). Accesses to a migrating
+        page arriving inside its in-flight window stall for half the
+        window on average.
         """
         if phase_duration_ns <= 0:
             raise ValueError("phase duration must be positive")
-        pages = batch.all_pages()
-        n_pages = int(pages.size)
+        n_pages = batch.n_pages
         if n_pages == 0:
             return MigrationCosts(0, 0.0, 0.0, 0.0)
 
         in_flight_ns = self.per_page_in_flight_ns()
-        accesses_to_moved = float(counts.columns_total(pages))
+        accesses_to_moved = float(batch.accesses_in(counts))
         # Fraction of the phase during which each moved page is in flight,
         # times its accesses, gives the expected number of stalled
         # accesses; each waits in_flight/2 on average.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,9 @@ class MigrationBatch:
     #: Pages of demand moves into the pool (socket -> pool).
     _demand_to_pool: int = field(default=0, init=False, repr=False,
                                  compare=False)
+    #: The last :meth:`accesses_in` answer, with the counts it read.
+    _accesses: Optional[Tuple[object, int]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for move in self.moves:
@@ -57,6 +60,7 @@ class MigrationBatch:
     def add(self, move: RegionMove) -> None:
         self.moves.append(move)
         self._count(move)
+        self._accesses = None
 
     def _count(self, move: RegionMove) -> None:
         n_pages = move.pages.size
@@ -102,6 +106,19 @@ class MigrationBatch:
         if self.demand_pages == 0:
             return 0.0
         return self._demand_to_pool / self.demand_pages
+
+    def accesses_in(self, counts) -> int:
+        """Accesses ``counts`` makes to the moved pages, as an integer.
+
+        ``counts`` is a phase's sparse per-(socket, page) counts (a
+        :class:`repro.trace.PhaseTrace`). A batch executes during one
+        phase, so every run reading its checkpoint asks with that
+        phase's trace: the answer is kept for the last ``counts`` read.
+        """
+        if self._accesses is None or self._accesses[0] is not counts:
+            self._accesses = (counts,
+                              int(counts.columns_total(self.all_pages())))
+        return self._accesses[1]
 
     def all_pages(self) -> np.ndarray:
         if not self.moves:

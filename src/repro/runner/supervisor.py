@@ -23,6 +23,10 @@
   replaces a task's worker with neither a strike nor a breaker count.
 * **No orphans.** An idle worker whose parent died exits within one
   poll interval.
+* **A share of the CPUs each.** Every worker, replacements included,
+  caps its BLAS threads at ``usable CPUs // n_workers`` (at least 1,
+  never above what it inherited), so the pool does not run more busy
+  BLAS threads than the host has CPUs (:mod:`repro.runner.blas`).
 
 The pool reports what happens as :class:`PoolEvent` values to its
 driver and never asks which driver that is. There are two: the sweep
@@ -47,6 +51,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import OBS, CallbackSink
 from repro.obs import configure as obs_configure
+from repro.runner.blas import cap_blas_threads, worker_share
 from repro.runner.health import HealthReport, HeartbeatBoard, SupervisionPolicy
 from repro.runner.sweep import RunFailure, RunOutcome, SweepRunner
 
@@ -197,11 +202,14 @@ def _streaming(sink: CallbackSink, arm_obs: bool) -> Iterator[None]:
         yield
 
 
-def _worker_main(slot: int, board: HeartbeatBoard, work: Work,
-                 arm_obs: bool, poll_s: float, parent_pid: int,
+def _worker_main(slot: int, n_workers: int, board: HeartbeatBoard,
+                 work: Work, arm_obs: bool, poll_s: float, parent_pid: int,
                  task_conn: Any, result_conn: Any) -> None:
     """One persistent worker: run assignments until told to stop."""
     global _WORKER_BOARD, _WORKER_SLOT
+    # The inherited BLAS pool sized itself for the whole host; with
+    # ``n_workers`` siblings that oversubscribes it ``n_workers``-fold.
+    cap_blas_threads(worker_share(n_workers))
     # The parent coordinates interrupts: it drains gracefully on SIGINT
     # while workers finish their in-flight task undisturbed.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -246,8 +254,9 @@ def _worker_main(slot: int, board: HeartbeatBoard, work: Work,
 class _Worker:
     """Parent-side record of one worker process and its assignment."""
 
-    def __init__(self, slot: int, ctx: Any, board: HeartbeatBoard,
-                 work: Work, arm_obs: bool, poll_s: float) -> None:
+    def __init__(self, slot: int, n_workers: int, ctx: Any,
+                 board: HeartbeatBoard, work: Work, arm_obs: bool,
+                 poll_s: float) -> None:
         self.slot = slot
         self.assignment: Optional[Assignment] = None
         #: The pool is done with this process (lost, cancelled, stopped).
@@ -256,8 +265,8 @@ class _Worker:
         self.conn, result_send = ctx.Pipe(duplex=False)
         self.process = ctx.Process(
             target=_worker_main,
-            args=(slot, board, work, arm_obs, poll_s, os.getpid(),
-                  task_recv, result_send),
+            args=(slot, n_workers, board, work, arm_obs, poll_s,
+                  os.getpid(), task_recv, result_send),
             daemon=True,
         )
         self.process.start()
@@ -339,8 +348,9 @@ class WorkerPool:
             worker.retire()
 
     def _fork(self, slot: int) -> _Worker:
-        return _Worker(slot, self._ctx, self.board, self._work,
-                       self._arm_obs, self.policy.poll_interval_s)
+        return _Worker(slot, self.health.workers, self._ctx, self.board,
+                       self._work, self._arm_obs,
+                       self.policy.poll_interval_s)
 
     def _replace(self, index: int) -> None:
         """Fork a successor for a retired worker, unless the pool is done."""

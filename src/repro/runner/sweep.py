@@ -40,6 +40,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Type, Union)
 
 from repro.obs import OBS
+from repro.runner.blas import blas_threads
 from repro.runner.health import HealthReport, SupervisionPolicy
 
 #: Schema of the checkpoint JSON layout. Written as ``"schema"``;
@@ -430,9 +431,12 @@ class SweepRunner:
         """
         attempts = 0
         # The pid attribute attributes the span to the worker that ran it;
-        # in a sequential sweep it is simply the parent's pid.
+        # in a sequential sweep it is simply the parent's pid. The BLAS
+        # thread count shows whether a pool worker's cap applied.
         span = OBS.span("runner.task", task=task_id, pid=os.getpid())
         with span:
+            if OBS.enabled:
+                span.set(blas_threads=blas_threads())
             while True:
                 attempts += 1
                 heartbeat()

@@ -95,7 +95,8 @@ class SimulationSetup:
     mode and static map, ``has_pool``, the migration config, and -- with
     a pool -- its capacity fraction and failure phase. Systems that
     differ only in latency, bandwidth or link faults therefore share
-    one list of checkpoints. Classification memos are kept by content,
+    one list of checkpoints, and a pool dead from the start shares the
+    pool-less list. Classification memos are kept by content,
     one per phase and page map (:meth:`classification_memo`), so lists
     whose maps agree at a phase classify it once. It also keeps the
     first-touch page locations (:meth:`Simulator.initial_page_map`),
@@ -327,6 +328,20 @@ class Simulator:
             pool_sharer_threshold=self.system.migration.pool_sharer_threshold,
         )
 
+    def _decides_as_baseline(self) -> bool:
+        """True when dynamic Step B makes exactly the baseline's decisions.
+
+        That is without a pool, and with a pool that fails before the
+        first batch executes: degraded mode then engages at the first
+        decision, finds nothing to evacuate from a first-touch map, and
+        hands every phase to the baseline policy.
+        """
+        if not self.topology.has_pool:
+            return True
+        fail_phase = self.faults.pool_failure_phase()
+        return (fail_phase is not None
+                and fail_phase <= self.setup.traces[0].phase + 1)
+
     def step_b_key(self, mode: str = "dynamic",
                    static_map: Optional[PageMap] = None) -> Tuple:
         """The sharing key of :meth:`checkpoints`.
@@ -335,7 +350,12 @@ class Simulator:
         seed and population: the mode, the static map, ``has_pool``,
         the migration config, and -- only with a pool -- its capacity
         fraction and failure phase. Latencies, bandwidths and link
-        faults are absent because Step B never reads them.
+        faults are absent because Step B never reads them. A dynamic
+        run that decides as the baseline (:meth:`_decides_as_baseline`)
+        is keyed by what :class:`BaselinePolicy` reads, its page budget,
+        so a pool dead from the start shares the pool-less list. Step C
+        never reads the maps' ``has_pool`` flag, which such lists do not
+        agree on.
 
         An explicit ``static_map`` is keyed by its content, never by
         identity, so a new map that reuses a collected one's ``id``
@@ -346,6 +366,9 @@ class Simulator:
             map_key = (static_map.n_sockets, static_map.has_pool,
                        hashlib.blake2b(static_map.locations.tobytes())
                        .hexdigest())
+        if mode == "dynamic" and self._decides_as_baseline():
+            return ("baseline-policy", mode, map_key,
+                    self.effective_migration_limit)
         has_pool = self.topology.has_pool
         pool = None
         if has_pool:
@@ -422,7 +445,7 @@ class Simulator:
         scaled = dataclasses.replace(
             migration, migration_limit_pages=self.effective_migration_limit
         )
-        if self.topology.has_pool:
+        if not self._decides_as_baseline():
             rng = np.random.default_rng((self.setup.seed, 0x9019))
             regions = RegionTable(initial_map, migration.pages_per_region)
             capacity = PoolCapacityManager(

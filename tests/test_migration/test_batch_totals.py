@@ -6,8 +6,12 @@ them. These tests hold every total to the per-move sum it replaced, on
 the batches Step B really makes: baseline decisions, StarNUMA decisions
 with victim evictions out of the pool, and the degraded-mode
 evacuation after a pool failure; and the run totals to the old
-per-move loop on the Step C golden's runs.
+per-move loop on the Step C golden's runs. The moved pages' access
+total (:meth:`MigrationBatch.accesses_in`) equals a direct gather, and
+is gathered once per batch and trace however many runs read it.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import pytest
 from repro.config import (
     baseline_config,
     starnuma_config,
+    with_double_bandwidth,
     with_pool_capacity_fraction,
 )
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
@@ -22,6 +27,7 @@ from repro.migration import MigrationBatch
 from repro.migration.records import RegionMove
 from repro.sim import SimulationSetup, Simulator
 from repro.sim.engine import _migration_totals
+from repro.trace import PhaseTrace
 from repro.topology import POOL_LOCATION
 from repro.workloads import WORKLOADS, get_workload
 from tests.test_sim import test_step_c_golden as golden
@@ -152,3 +158,47 @@ def test_run_totals_match_the_loop_on_the_golden_runs(case):
     assert totals == loop_totals(checkpoints)
     assert totals == (golden.GOLDEN[case]["pages_migrated"],
                       golden.GOLDEN[case]["pages_migrated_to_pool"])
+
+
+class TestMovedPageAccesses:
+    def test_equals_a_direct_gather(self, setup):
+        checkpoints = Simulator(starnuma_config(), setup).checkpoints()
+        for trace, checkpoint in zip(setup.traces, checkpoints):
+            if checkpoint.batch is None:
+                continue
+            pages = np.concatenate(
+                [move.pages for move in checkpoint.batch.moves]
+                or [np.empty(0, dtype=np.int64)])
+            assert checkpoint.batch.accesses_in(trace) == int(
+                trace.dense()[:, pages].sum())
+
+    def test_gathered_once_per_batch_and_trace(self, setup, monkeypatch):
+        calls = []
+        real = PhaseTrace.columns_total
+
+        def counting(trace, pages):
+            calls.append(trace.phase)
+            return real(trace, pages)
+
+        monkeypatch.setattr(PhaseTrace, "columns_total", counting)
+        copy = dataclasses.replace(setup)
+        base = Simulator(baseline_config(), copy)
+        calibration = base.calibrate()
+        base.run(calibration=calibration)
+        Simulator(with_double_bandwidth(baseline_config()), copy).run(
+            calibration=calibration)
+        moved = [checkpoint.phase for checkpoint in base.checkpoints()
+                 if checkpoint.batch is not None
+                 and checkpoint.batch.n_pages]
+        # Calibration, closed loop and a bandwidth variant: one gather.
+        assert moved and calls == moved
+
+    def test_adding_a_move_forgets_the_total(self, setup):
+        trace = setup.traces[1]
+        batch = MigrationBatch(phase=1)
+        batch.add(RegionMove(pages=np.arange(4), source=0, destination=1))
+        first = batch.accesses_in(trace)
+        batch.add(RegionMove(pages=np.arange(4, 9), source=0,
+                             destination=1))
+        assert batch.accesses_in(trace) == int(
+            trace.dense()[:, :9].sum()) >= first

@@ -101,8 +101,29 @@ class TestSharingKeyIsComplete:
         for label in ("fig11-iso", "fig11-2x"):
             assert runs[label] is runs["baseline"], label
         assert runs["fault-pool-dies-midrun"] is not star
-        assert runs["fault-pool-dead"] is not star
+        assert runs["fault-pool-dead"] is runs["baseline"]
         assert runs["fault-pool-dead"] is not runs["fault-pool-dies-midrun"]
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_pool_failing_before_the_first_batch_is_the_baseline(
+            self, setup, phase):
+        dead = FaultSchedule([FaultEvent(FaultKind.POOL_FAIL, phase=phase)])
+        simulator = Simulator(starnuma_config(), setup, faults=dead)
+        assert simulator.checkpoints() is Simulator(
+            baseline_config(), setup).checkpoints()
+        # The StarNUMA wrapper's degraded mode, run from scratch, makes
+        # the same decisions.
+        copy = dataclasses.replace(setup)
+        wrapped = Simulator(starnuma_config(), copy, faults=dead)
+        wrapped._decides_as_baseline = lambda: False
+        assert checkpoint_bytes(wrapped._run_step_b("dynamic", None)) \
+            == checkpoint_bytes(simulator.checkpoints())
+
+    def test_pool_failing_after_the_first_batch_is_not(self, setup):
+        late = FaultSchedule([FaultEvent(FaultKind.POOL_FAIL, phase=2)])
+        assert Simulator(starnuma_config(), setup, faults=late) \
+            .checkpoints() is not Simulator(baseline_config(),
+                                            setup).checkpoints()
 
 
 class TestVariantsThatDecideDifferentlyDoNotShare:
@@ -266,10 +287,10 @@ class TestClassificationSharedByContent:
                 if scenario.name == "pool-dead"][0]
         Simulator(starnuma_config(), copy, faults=dead.schedule).run(
             calibration=calibration)
-        assert runs["pool-dead"] is not runs["baseline"]
-        for mine, theirs in zip(runs["pool-dead"], runs["baseline"]):
-            assert mine.classifications is theirs.classifications
-            assert mine.classifications[None] is theirs.classifications[None]
+        # A pool dead from the start decides as the baseline: one list.
+        assert runs["pool-dead"] is runs["baseline"]
+        for checkpoint in runs["pool-dead"]:
+            assert None in checkpoint.classifications
 
     def test_midrun_failure_shares_the_healthy_memos_before_it(self, ladder):
         _, runs = ladder
@@ -333,3 +354,43 @@ class TestClassificationSharedByContent:
         # Fewer plan-less classifications than (list, phase) pairs.
         pairs = sum(len(checkpoints) for checkpoints in lists)
         assert len([key for key in distinct if not key[2]]) < pairs
+
+
+class FlaglessMap(PageMap):
+    """A page map whose ``has_pool`` flag must not be read."""
+
+    def __init__(self, page_map):  # noqa: D107 -- no flag is stored
+        self.locations = page_map.locations
+        self.n_sockets = page_map.n_sockets
+
+    @property
+    def has_pool(self):
+        raise AssertionError("Step C read PageMap.has_pool")
+
+
+class TestStepCIgnoresTheSharedMapsPoolFlag:
+    """The baseline and a pool dead from the start share one list, whose
+    maps carry the flag of whichever system ran Step B first."""
+
+    def results(self, setup, first, swap=False):
+        dead = [scenario for scenario in scenarios()
+                if scenario.name == "pool-dead"][0]
+        copy = dataclasses.replace(setup)
+        systems = {"baseline": Simulator(baseline_config(), copy),
+                   "pool-dead": Simulator(starnuma_config(), copy,
+                                          faults=dead.schedule)}
+        checkpoints = systems[first].checkpoints()
+        if swap:
+            for checkpoint in checkpoints:
+                checkpoint.page_map = FlaglessMap(checkpoint.page_map)
+        calibration = systems["baseline"].calibrate()
+        return {name: repr(simulator.run(calibration=calibration))
+                for name, simulator in systems.items()}
+
+    def test_step_c_never_reads_the_flag(self, setup):
+        assert self.results(setup, "baseline", swap=True) \
+            == self.results(setup, "baseline")
+
+    def test_results_do_not_depend_on_who_ran_step_b(self, setup):
+        assert self.results(setup, "pool-dead") \
+            == self.results(setup, "baseline")

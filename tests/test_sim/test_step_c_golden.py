@@ -8,6 +8,10 @@ links, the access breakdown (kinds in dict order), the migration stall
 and migration totals, so any change to the fixed point's
 arithmetic (operation order, reductions, damping) shows here first.
 
+The BLAS thread count is not an input: the golden also holds with
+OpenBLAS capped at one thread, as in a supervised pool worker on a
+host with no more CPUs than workers (see :mod:`repro.runner.blas`).
+
 Regenerate the constants only for a deliberate numeric change:
 ``PYTHONPATH=src:. python -m tests.test_sim.test_step_c_golden`` prints
 the source of ``GOLDEN``.
@@ -17,6 +21,7 @@ import pytest
 
 from repro.config import baseline_config, starnuma_config
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.runner.blas import blas_threads, set_blas_threads
 from repro.sim import SimulationSetup, Simulator
 from repro.workloads import WORKLOADS
 
@@ -326,6 +331,26 @@ GOLDEN = {
 @pytest.mark.parametrize("case", CASES)
 def test_step_c_is_bit_exact(case):
     assert fingerprint(run_case(case)) == GOLDEN[case]
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS capped at one thread for the test, then restored."""
+    inherited = blas_threads()
+    if inherited is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert set_blas_threads(1) == 1
+    try:
+        yield
+    finally:
+        set_blas_threads(inherited)
+    assert blas_threads() == inherited
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_step_c_is_bit_exact_on_one_blas_thread(case, one_blas_thread):
+    assert fingerprint(run_case(case)) == GOLDEN[case]
+    assert blas_threads() == 1
 
 
 def format_golden(golden):
