@@ -58,6 +58,8 @@ FEEDER_QUEUES = frozenset({
 })
 
 #: Constructors whose product must not be created pre-fork and shared.
+#: A thread pool made before a fork has none of its threads in the
+#: child, so a child that submits to it waits forever.
 PREFORK_HAZARDS = {
     "threading.Lock": "lock",
     "threading.RLock": "lock",
@@ -67,6 +69,7 @@ PREFORK_HAZARDS = {
     "threading.BoundedSemaphore": "semaphore",
     "multiprocessing.Queue": "queue",
     "multiprocessing.JoinableQueue": "queue",
+    "concurrent.futures.ThreadPoolExecutor": "thread pool",
     "open": "file handle",
 }
 

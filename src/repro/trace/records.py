@@ -24,15 +24,17 @@ _INT32 = np.iinfo(np.int32)
 
 
 def narrow_counts(values: np.ndarray) -> np.ndarray:
-    """``values`` as int32 if every count fits, else as int64.
+    """A new array of ``values``: int32 if every count fits, else int64.
 
     Counts are Poisson draws around rates capped at
     ``accesses_cap_per_socket`` (2e9), and a draw can exceed its mean,
-    so the cast is checked: a phase keeps int64 rather than wrap.
+    so the cast is checked: a phase keeps int64 rather than wrap. The
+    result never aliases ``values``, which may be a draw buffer that
+    the next phase overwrites.
     """
     if values.size and (values.max() > _INT32.max
                         or values.min() < _INT32.min):
-        return values.astype(np.int64, copy=False)
+        return values.astype(np.int64)
     return values.astype(np.int32)
 
 

@@ -2,12 +2,62 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+import os
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple)
 
 import numpy as np
 
 from repro.trace.records import PhaseTrace, TraceRecord, narrow_counts
 from repro.workloads.population import PagePopulation
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
+#: Cells per Poisson call, and pages per lognormal call. ``Generator``
+#: draws element by element, so consecutive slices consume its stream
+#: exactly as one call over the whole array does; neither draw takes
+#: ``out=``, and slicing keeps each call's own result small.
+DRAW_SLICE = 8192
+
+
+def _mapped(shape, dtype) -> np.ndarray:
+    """An array in fresh anonymous memory, outside the malloc heap.
+
+    glibc gives each thread its own malloc arena and keeps what the
+    thread frees, so buffers a helper thread fills are mapped here
+    instead; dropping the array unmaps them whole.
+    """
+    import mmap
+
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(buffer, dtype, count=count).reshape(shape)
+
+
+class _Scratch:
+    """The arrays one phase is drawn into; reused phase after phase."""
+
+    def __init__(self, n_cells: int, rates_shape: Optional[Tuple[int, int]]):
+        self.expected = _mapped(n_cells, np.float64)
+        self.draws = _mapped(n_cells, np.int64)
+        #: Drifted rates and their per-page jitter; None without drift.
+        self.rates: Optional[np.ndarray] = None
+        self.jitter: Optional[np.ndarray] = None
+        if rates_shape is not None:
+            self.rates = _mapped(rates_shape, np.float64)
+            self.jitter = _mapped(rates_shape[1], np.float64)
+
+
+def _fill(out: np.ndarray, draw: Callable[[int, int], np.ndarray],
+          between_slices: Optional[Callable[[], None]] = None) -> None:
+    """``out[start:stop] = draw(start, stop)``, one ``DRAW_SLICE`` at a time."""
+    for start in range(0, out.size, DRAW_SLICE):
+        stop = min(start + DRAW_SLICE, out.size)
+        out[start:stop] = draw(start, stop)
+        if between_slices is not None:
+            between_slices()
 
 
 class TraceSynthesizer:
@@ -45,14 +95,21 @@ class TraceSynthesizer:
 
     def phase_rates(self, phase: int) -> np.ndarray:
         """Access rates of one phase, after weight drift."""
-        sigma = self.population.profile.drift_sigma
-        if sigma <= 0:
+        if self.population.profile.drift_sigma <= 0:
             return self.base_rates
+        return self._drift(phase, np.empty_like(self.base_rates),
+                           np.empty(self.base_rates.shape[1]))
+
+    def _drift(self, phase: int, rates: np.ndarray,
+               jitter: np.ndarray) -> np.ndarray:
+        """:meth:`phase_rates` with drift, computed into ``rates``."""
+        sigma = self.population.profile.drift_sigma
         rng = np.random.default_rng((self.seed, phase, 0x5eed))
-        jitter = rng.lognormal(mean=0.0, sigma=sigma,
-                               size=self.base_rates.shape[1])
-        rates = self.base_rates * jitter[None, :]
-        return rates / rates.sum(axis=1, keepdims=True)
+        _fill(jitter, lambda start, stop: rng.lognormal(
+            mean=0.0, sigma=sigma, size=stop - start))
+        np.multiply(self.base_rates, jitter, out=rates)
+        rates /= rates.sum(axis=1, keepdims=True)
+        return rates
 
     def synthesize_phase(self, phase: int) -> PhaseTrace:
         """Sample the counts of one phase at the population's sharer cells.
@@ -60,26 +117,122 @@ class TraceSynthesizer:
         Rates are zero off the membership, and ``Generator.poisson``
         consumes no stream for a zero rate, so drawing only the member
         cells in row-major order yields exactly the values a draw over
-        the dense rate matrix would. The values are drawn directly, not
-        sliced from a dense count matrix: freeing such a matrix can
-        leave heap memory that glibc does not hand back.
+        the dense rate matrix would. A phase reads only its own two
+        generators, ``(seed, phase, 0x5eed)`` for the drift and
+        ``(seed, phase, 0xacce55)`` for the counts, so phases can be
+        drawn in any order, or at once (:meth:`synthesize`), with the
+        same result. The values are drawn directly, not sliced from a
+        dense count matrix: freeing such a matrix can leave heap memory
+        that glibc does not hand back.
         """
-        rng = np.random.default_rng((self.seed, phase, 0xacce55))
-        index = self.population.index
-        expected = (self.phase_rates(phase).ravel()[index.flat]
-                    * self.accesses_per_socket)
-        return PhaseTrace(
-            phase=phase,
-            index=index,
-            values=narrow_counts(rng.poisson(expected)),
-            instructions_per_thread=self.instructions_per_thread,
-        )
+        return self._trace(phase, self._draw(phase, self._scratch(),
+                                             self.population.index.flat))
 
     def synthesize(self, n_phases: int) -> List[PhaseTrace]:
-        """Sample ``n_phases`` consecutive phases."""
+        """Sample ``n_phases`` consecutive phases, on every usable CPU.
+
+        The calling thread draws alongside ``min(n_phases, CPUs) - 1``
+        helper threads, each phase from its own generators as in
+        :meth:`synthesize_phase`, so the traces are the same on any
+        number of CPUs. Inside a pool worker
+        (``multiprocessing.parent_process()`` is set) the calling thread
+        draws alone: the pool already gives each worker its share of the
+        CPUs. No helper thread outlives the call, since sweeps fork
+        right after set-up: an error in a phase, or an exception raised
+        in the calling thread (a ``SIGALRM`` timeout), stops handing out
+        phases, waits for the running ones and propagates.
+        """
         if n_phases < 1:
             raise ValueError("need at least one phase")
-        return [self.synthesize_phase(phase) for phase in range(n_phases)]
+        import multiprocessing
+
+        n_threads = min(n_phases, len(os.sched_getaffinity(0)))
+        if multiprocessing.parent_process() is not None:
+            n_threads = 1
+        flat = self.population.index.flat
+        slots = [self._scratch() for _ in range(n_threads)]
+        if n_threads == 1:
+            return [self._trace(phase, self._draw(phase, slots[0], flat))
+                    for phase in range(n_phases)]
+        return self._synthesize_threaded(n_phases, slots, flat)
+
+    def _synthesize_threaded(self, n_phases: int, slots: List[_Scratch],
+                             flat: np.ndarray) -> List[PhaseTrace]:
+        """:meth:`synthesize` with one helper thread per slot but one.
+
+        A helper only fills its slot. The calling thread draws phases
+        into the last slot, and between its Poisson slices it narrows
+        each phase a helper finished, builds its trace and hands that
+        helper the next phase, so no helper waits on a whole phase.
+        """
+        from concurrent.futures import ThreadPoolExecutor, wait
+
+        traces: List[Optional[PhaseTrace]] = [None] * n_phases
+        pending: Dict[Future, Tuple[int, _Scratch]] = {}
+        phases = iter(range(n_phases))
+        own = slots.pop()
+
+        def hand_out() -> None:
+            for future in [future for future in pending if future.done()]:
+                phase, scratch = pending.pop(future)
+                traces[phase] = self._trace(phase, future.result())
+                slots.append(scratch)
+            while slots:
+                phase = next(phases, None)
+                if phase is None:
+                    return
+                scratch = slots.pop()
+                future = helpers.submit(self._draw, phase, scratch, flat)
+                pending[future] = (phase, scratch)
+
+        with ThreadPoolExecutor(max_workers=len(slots),
+                                thread_name_prefix="step-a") as helpers:
+            try:
+                hand_out()
+                for phase in phases:
+                    traces[phase] = self._trace(phase, self._draw(
+                        phase, own, flat, between_slices=hand_out))
+                wait(pending)
+                hand_out()
+            except BaseException:
+                for future in pending:
+                    future.cancel()
+                raise
+        return traces  # type: ignore[return-value]
+
+    def _scratch(self) -> _Scratch:
+        drift = self.population.profile.drift_sigma > 0
+        return _Scratch(self.population.index.size,
+                        self.base_rates.shape if drift else None)
+
+    def _draw(self, phase: int, scratch: _Scratch, flat: np.ndarray,
+              between_slices: Optional[Callable[[], None]] = None,
+              ) -> np.ndarray:
+        """One phase's int64 counts at the cells ``flat``, in ``scratch``.
+
+        Safe on a helper thread: every array it fills is in ``scratch``,
+        and its only allocations are small (a ``DRAW_SLICE`` of draws).
+        ``between_slices`` runs after each slice of Poisson draws.
+        """
+        rng = np.random.default_rng((self.seed, phase, 0xacce55))
+        rates = (self.base_rates if scratch.rates is None
+                 else self._drift(phase, scratch.rates, scratch.jitter))
+        expected = scratch.expected
+        # mode="raise" would buffer a full-size copy of the result.
+        np.take(rates, flat, out=expected, mode="clip")
+        expected *= self.accesses_per_socket
+        _fill(scratch.draws,
+              lambda start, stop: rng.poisson(expected[start:stop]),
+              between_slices)
+        return scratch.draws
+
+    def _trace(self, phase: int, draws: np.ndarray) -> PhaseTrace:
+        return PhaseTrace(
+            phase=phase,
+            index=self.population.index,
+            values=narrow_counts(draws),
+            instructions_per_thread=self.instructions_per_thread,
+        )
 
     def record_stream(self, phase: int, n_records: int,
                       socket: Optional[int] = None) -> Iterator[TraceRecord]:

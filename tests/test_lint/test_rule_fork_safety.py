@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths, lint_sources
 
 FIXTURES = Path(__file__).parent / "fixtures" / "miniproj"
@@ -62,6 +64,27 @@ class TestFlags:
             "    mp.Process(target=worker, args=(LOCK,)).start()\n"
         )})
         assert len(findings) == 1
+
+    @pytest.mark.parametrize("imports, constructor", [
+        ("from concurrent.futures import ThreadPoolExecutor\n",
+         "ThreadPoolExecutor"),
+        ("import concurrent.futures as cf\n", "cf.ThreadPoolExecutor"),
+    ])
+    def test_prefork_thread_pool_reachable_from_worker(self, imports,
+                                                       constructor):
+        """A pool made before the fork has no threads in the child."""
+        findings = findings_for({"repro.runner.bad": (
+            "import multiprocessing as mp\n"
+            + imports +
+            f"POOL = {constructor}(max_workers=2)\n"
+            "def worker():\n"
+            "    POOL.submit(print).result()\n"
+            "def spawn():\n"
+            "    mp.Process(target=worker).start()\n"
+        )})
+        assert len(findings) == 1
+        assert "thread pool 'POOL'" in findings[0].message
+        assert "pre-fork" in findings[0].message
 
     def test_global_rebound_on_both_sides(self):
         findings = findings_for({"repro.runner.bad": (
@@ -135,6 +158,21 @@ class TestNoFlags:
             "    with lock:\n"
             "        pass\n"
             "def spawn():\n"
+            "    mp.Process(target=worker).start()\n"
+        )})
+
+    def test_thread_pool_made_and_joined_inside_a_call(self):
+        # Step A's shape: the pool lives and dies within one call.
+        assert not findings_for({"repro.runner.good": (
+            "import multiprocessing as mp\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "def draw():\n"
+            "    with ThreadPoolExecutor(max_workers=2) as pool:\n"
+            "        return pool.submit(sum, [1]).result()\n"
+            "def worker():\n"
+            "    draw()\n"
+            "def spawn():\n"
+            "    draw()\n"
             "    mp.Process(target=worker).start()\n"
         )})
 

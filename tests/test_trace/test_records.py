@@ -51,6 +51,15 @@ class TestNarrowing:
         assert values.dtype == np.int64
         assert values.tolist() == [1, INT32_MAX + 1]
 
+    @pytest.mark.parametrize("top", [INT32_MAX, INT32_MAX + 1])
+    def test_result_never_aliases_its_input(self, top):
+        # Step A narrows out of a draw buffer the next phase overwrites.
+        draws = np.array([1, top], dtype=np.int64)
+        values = narrow_counts(draws)
+        assert not np.shares_memory(values, draws)
+        draws[:] = 0
+        assert values.tolist() == [1, top]
+
     def test_synthesized_phase_past_int32_keeps_int64(self, tiny_population):
         # Lift the per-socket access cap so single cells exceed int32.
         synthesizer = TraceSynthesizer(
