@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.placement.capacity import PoolCapacityManager
-from repro.placement.pagemap import PageMap
+from repro.placement.pagemap import LOCATION_DTYPE, PageMap
 from repro.topology.model import POOL_LOCATION
 
 
@@ -41,7 +41,7 @@ def _balanced_argmax(total_counts: np.ndarray) -> np.ndarray:
     totals = total_counts.sum(axis=0)
     order = np.argsort(totals)[::-1]
     remote_served = np.zeros(n_sockets, dtype=np.float64)
-    locations = np.empty(n_pages, dtype=np.int16)
+    locations = np.empty(n_pages, dtype=LOCATION_DTYPE)
     for page in order:
         counts = total_counts[:, page]
         threshold = counts.max() * TIE_TOLERANCE

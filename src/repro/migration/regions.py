@@ -75,8 +75,10 @@ class RegionTable:
         # computed once and reused until a phase brings another index.
         if self._binned_index is not index:
             self._binned_index = index
-            self._entry_bins = (index.sockets * self.n_regions
-                                + self.page_to_region[index.pages])
+            # ``sockets`` is narrow; upcast before the product.
+            self._entry_bins = np.multiply(index.sockets, self.n_regions,
+                                           dtype=np.int64)
+            self._entry_bins += self.page_to_region[index.pages]
         # Float64 bins of integer counts are exact far past any phase.
         totals = np.bincount(self._entry_bins, weights=counts.values,
                              minlength=index.n_sockets * self.n_regions)

@@ -9,20 +9,29 @@ import numpy as np
 from repro.topology.model import POOL_LOCATION
 
 
+#: Locations are socket ids and the pool's -1; populations stop at 32
+#: sockets, so int8 holds every map.
+LOCATION_DTYPE = np.int8
+
+
 class PageMap:
     """Location of every page: a socket id, or the pool.
 
-    Backed by a compact int16 numpy array so the timing model can classify
-    millions of accesses with vectorized arithmetic.
+    Backed by a compact int8 numpy array so the timing model can classify
+    millions of accesses with vectorized arithmetic. The values are
+    checked on the input, before the cast, so an out-of-range location
+    raises rather than wrapping into range.
     """
 
     def __init__(self, locations: np.ndarray, n_sockets: int,
                  has_pool: bool):
-        locations = np.asarray(locations, dtype=np.int16)
+        if n_sockets > np.iinfo(LOCATION_DTYPE).max + 1:
+            raise ValueError(f"{n_sockets} sockets: page maps are int8")
+        locations = np.asarray(locations)
         if locations.ndim != 1:
             raise ValueError("page map must be one-dimensional")
         self._check_values(locations, n_sockets, has_pool)
-        self.locations = locations
+        self.locations = np.asarray(locations, dtype=LOCATION_DTYPE)
         self.n_sockets = n_sockets
         self.has_pool = has_pool
 
@@ -85,7 +94,7 @@ def first_touch_placement(sharer_masks: np.ndarray, n_sockets: int,
     rng = rng or np.random.default_rng(0)
     sharer_masks = np.asarray(sharer_masks, dtype=np.uint32)
     n_pages = sharer_masks.size
-    locations = np.empty(n_pages, dtype=np.int16)
+    locations = np.empty(n_pages, dtype=LOCATION_DTYPE)
 
     # Expand masks into a (n_pages, n_sockets) membership matrix, then pick
     # one set bit per row with probabilities uniform over members.

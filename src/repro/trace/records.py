@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.workloads.cells import CountIndex
+from repro.workloads.cells import CountIndex, narrowest_signed
 
 
 @dataclass(frozen=True)
@@ -20,22 +20,22 @@ class TraceRecord:
     is_write: bool
 
 
-_INT32 = np.iinfo(np.int32)
-
-
 def narrow_counts(values: np.ndarray) -> np.ndarray:
-    """A new array of ``values``: int32 if every count fits, else int64.
+    """A new array of ``values`` in the narrowest type that holds them.
 
-    Counts are Poisson draws around rates capped at
-    ``accesses_cap_per_socket`` (2e9), and a draw can exceed its mean,
-    so the cast is checked: a phase keeps int64 rather than wrap. The
-    result never aliases ``values``, which may be a draw buffer that
-    the next phase overwrites.
+    Each phase gets the narrowest signed type that holds its min and
+    max: int8, int16, int32, or int64 for counts past int32. A count is
+    bounded only by its phase's accesses (Poisson draws around rates
+    capped at ``accesses_cap_per_socket``, 2e9, and a draw can exceed
+    its mean), so the type is picked from the data and the cast never
+    wraps. Readers upcast before any arithmetic that could leave the
+    narrow range. The result never aliases ``values``, which may be a
+    draw buffer that the next phase overwrites.
     """
-    if values.size and (values.max() > _INT32.max
-                        or values.min() < _INT32.min):
-        return values.astype(np.int64)
-    return values.astype(np.int32)
+    if not values.size:
+        return values.astype(np.int8)
+    return values.astype(narrowest_signed(int(values.min()),
+                                          int(values.max())))
 
 
 @dataclass

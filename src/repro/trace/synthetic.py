@@ -39,15 +39,16 @@ def _mapped(shape, dtype) -> np.ndarray:
 class _Scratch:
     """The arrays one phase is drawn into; reused phase after phase."""
 
-    def __init__(self, n_cells: int, rates_shape: Optional[Tuple[int, int]]):
+    def __init__(self, n_cells: int, n_pages: Optional[int]):
         self.expected = _mapped(n_cells, np.float64)
         self.draws = _mapped(n_cells, np.int64)
-        #: Drifted rates and their per-page jitter; None without drift.
-        self.rates: Optional[np.ndarray] = None
+        #: The drift's per-page jitter and one drifted rate row; None
+        #: without drift.
         self.jitter: Optional[np.ndarray] = None
-        if rates_shape is not None:
-            self.rates = _mapped(rates_shape, np.float64)
-            self.jitter = _mapped(rates_shape[1], np.float64)
+        self.row: Optional[np.ndarray] = None
+        if n_pages is not None:
+            self.jitter = _mapped(n_pages, np.float64)
+            self.row = _mapped(n_pages, np.float64)
 
 
 def _fill(out: np.ndarray, draw: Callable[[int, int], np.ndarray],
@@ -97,19 +98,45 @@ class TraceSynthesizer:
         """Access rates of one phase, after weight drift."""
         if self.population.profile.drift_sigma <= 0:
             return self.base_rates
-        return self._drift(phase, np.empty_like(self.base_rates),
-                           np.empty(self.base_rates.shape[1]))
+        rates = self.base_rates * self._jitter(
+            phase, np.empty(self.base_rates.shape[1]))
+        rates /= rates.sum(axis=1, keepdims=True)
+        return rates
 
-    def _drift(self, phase: int, rates: np.ndarray,
-               jitter: np.ndarray) -> np.ndarray:
-        """:meth:`phase_rates` with drift, computed into ``rates``."""
+    def _jitter(self, phase: int, jitter: np.ndarray) -> np.ndarray:
+        """The phase's per-page lognormal drift weights, into ``jitter``."""
         sigma = self.population.profile.drift_sigma
         rng = np.random.default_rng((self.seed, phase, 0x5eed))
         _fill(jitter, lambda start, stop: rng.lognormal(
             mean=0.0, sigma=sigma, size=stop - start))
-        np.multiply(self.base_rates, jitter, out=rates)
-        rates /= rates.sum(axis=1, keepdims=True)
-        return rates
+        return jitter
+
+    def _expected(self, phase: int, scratch: _Scratch) -> np.ndarray:
+        """Expected counts at the member cells, into ``scratch.expected``.
+
+        Row by row, since cells are in row-major order and each row is
+        one slice of the entries: a row's cells are gathered from its
+        rates, with no dense matrix and no flat offsets. With drift the
+        row is first drifted into ``scratch.row`` and its gathered cells
+        are divided by the whole row's sum, summed as :meth:`phase_rates`
+        sums it, so each cell holds the same product and quotient as the
+        dense drifted matrix does.
+        """
+        jitter = (None if scratch.jitter is None
+                  else self._jitter(phase, scratch.jitter))
+        index = self.population.index
+        bounds = index.row_bounds
+        for socket, rates in enumerate(self.base_rates):
+            if jitter is not None:
+                rates = np.multiply(rates, jitter, out=scratch.row)
+            cells = scratch.expected[bounds[socket]:bounds[socket + 1]]
+            # mode="raise" would buffer a full-size copy of the result.
+            np.take(rates, index.pages[bounds[socket]:bounds[socket + 1]],
+                    out=cells, mode="clip")
+            if jitter is not None:
+                cells /= rates.sum()
+        scratch.expected *= self.accesses_per_socket
+        return scratch.expected
 
     def synthesize_phase(self, phase: int) -> PhaseTrace:
         """Sample the counts of one phase at the population's sharer cells.
@@ -125,8 +152,7 @@ class TraceSynthesizer:
         dense count matrix: freeing such a matrix can leave heap memory
         that glibc does not hand back.
         """
-        return self._trace(phase, self._draw(phase, self._scratch(),
-                                             self.population.index.flat))
+        return self._trace(phase, self._draw(phase, self._scratch()))
 
     def synthesize(self, n_phases: int) -> List[PhaseTrace]:
         """Sample ``n_phases`` consecutive phases, on every usable CPU.
@@ -149,15 +175,14 @@ class TraceSynthesizer:
         n_threads = min(n_phases, len(os.sched_getaffinity(0)))
         if multiprocessing.parent_process() is not None:
             n_threads = 1
-        flat = self.population.index.flat
         slots = [self._scratch() for _ in range(n_threads)]
         if n_threads == 1:
-            return [self._trace(phase, self._draw(phase, slots[0], flat))
+            return [self._trace(phase, self._draw(phase, slots[0]))
                     for phase in range(n_phases)]
-        return self._synthesize_threaded(n_phases, slots, flat)
+        return self._synthesize_threaded(n_phases, slots)
 
-    def _synthesize_threaded(self, n_phases: int, slots: List[_Scratch],
-                             flat: np.ndarray) -> List[PhaseTrace]:
+    def _synthesize_threaded(self, n_phases: int,
+                             slots: List[_Scratch]) -> List[PhaseTrace]:
         """:meth:`synthesize` with one helper thread per slot but one.
 
         A helper only fills its slot. The calling thread draws phases
@@ -182,7 +207,7 @@ class TraceSynthesizer:
                 if phase is None:
                     return
                 scratch = slots.pop()
-                future = helpers.submit(self._draw, phase, scratch, flat)
+                future = helpers.submit(self._draw, phase, scratch)
                 pending[future] = (phase, scratch)
 
         with ThreadPoolExecutor(max_workers=len(slots),
@@ -191,7 +216,7 @@ class TraceSynthesizer:
                 hand_out()
                 for phase in phases:
                     traces[phase] = self._trace(phase, self._draw(
-                        phase, own, flat, between_slices=hand_out))
+                        phase, own, between_slices=hand_out))
                 wait(pending)
                 hand_out()
             except BaseException:
@@ -203,24 +228,19 @@ class TraceSynthesizer:
     def _scratch(self) -> _Scratch:
         drift = self.population.profile.drift_sigma > 0
         return _Scratch(self.population.index.size,
-                        self.base_rates.shape if drift else None)
+                        self.population.n_pages if drift else None)
 
-    def _draw(self, phase: int, scratch: _Scratch, flat: np.ndarray,
+    def _draw(self, phase: int, scratch: _Scratch,
               between_slices: Optional[Callable[[], None]] = None,
               ) -> np.ndarray:
-        """One phase's int64 counts at the cells ``flat``, in ``scratch``.
+        """One phase's int64 counts at the member cells, in ``scratch``.
 
         Safe on a helper thread: every array it fills is in ``scratch``,
         and its only allocations are small (a ``DRAW_SLICE`` of draws).
         ``between_slices`` runs after each slice of Poisson draws.
         """
         rng = np.random.default_rng((self.seed, phase, 0xacce55))
-        rates = (self.base_rates if scratch.rates is None
-                 else self._drift(phase, scratch.rates, scratch.jitter))
-        expected = scratch.expected
-        # mode="raise" would buffer a full-size copy of the result.
-        np.take(rates, flat, out=expected, mode="clip")
-        expected *= self.accesses_per_socket
+        expected = self._expected(phase, scratch)
         _fill(scratch.draws,
               lambda start, stop: rng.poisson(expected[start:stop]),
               between_slices)

@@ -36,18 +36,39 @@ def popcount(masks: np.ndarray) -> np.ndarray:
     return ((bits * 0x01010101) >> 24).astype(np.int16)
 
 
+_SIGNED = tuple(np.iinfo(dtype) for dtype in (np.int8, np.int16, np.int32))
+
+
+def narrowest_signed(low: int, high: int) -> np.dtype:
+    """The narrowest signed integer type that holds ``low`` and ``high``."""
+    for info in _SIGNED:
+        if info.min <= low and high <= info.max:
+            return info.dtype
+    return np.dtype(np.int64)
+
+
 class CountIndex:
     """The (socket, page) cells of a count layout, in row-major order.
 
     ``sockets`` and ``pages`` are the cells' coordinates; their flat
     offsets into the dense matrix (:attr:`flat`) strictly increase.
+    ``sockets`` is stored in the narrowest signed type that holds
+    ``n_sockets - 1`` (int8 up to 128 sockets), so arithmetic on it
+    upcasts first. ``pages`` stays int64: it is a ``take``/``bincount``
+    index on the hot path, and a narrower type would be cast on every
+    call.
     """
 
     def __init__(self, n_sockets: int, n_pages: int, flat: np.ndarray):
         self.n_sockets = int(n_sockets)
         self.n_pages = int(n_pages)
-        self.sockets, self.pages = np.divmod(
+        sockets, self.pages = np.divmod(
             np.asarray(flat, dtype=np.int64), self.n_pages)
+        #: Where each socket's row starts in the entries, plus the end.
+        self.row_bounds = np.searchsorted(sockets,
+                                          np.arange(self.n_sockets + 1))
+        self.sockets = sockets.astype(
+            narrowest_signed(0, max(self.n_sockets - 1, 0)))
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "CountIndex":
@@ -67,13 +88,9 @@ class CountIndex:
     @property
     def flat(self) -> np.ndarray:
         """Flat row-major offsets of the cells (computed, not stored)."""
-        return self.sockets * self.n_pages + self.pages
-
-    @cached_property
-    def row_bounds(self) -> np.ndarray:
-        """Where each socket's row starts in the entries, plus the end."""
-        return np.searchsorted(self.sockets,
-                               np.arange(self.n_sockets + 1))
+        flat = np.multiply(self.sockets, self.n_pages, dtype=np.int64)
+        flat += self.pages
+        return flat
 
     def dense(self, values: np.ndarray) -> np.ndarray:
         """The int64 ``(n_sockets, n_pages)`` matrix of ``values``."""
@@ -155,8 +172,13 @@ class CountIndex:
 
     @cached_property
     def _page_major(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Entry order sorted by page, and each page's start in it."""
+        """Entry order sorted by page, and each page's start in it.
+
+        The order is int32 while the index has fewer than 2**31 entries.
+        """
         order = np.argsort(self.pages, kind="stable")
+        if self.size <= np.iinfo(np.int32).max:
+            order = order.astype(np.int32)
         starts = np.zeros(self.n_pages + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.pages, minlength=self.n_pages),
                   out=starts[1:])

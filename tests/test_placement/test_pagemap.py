@@ -66,6 +66,29 @@ class TestPageMap:
         with pytest.raises(ValueError):
             PageMap(np.zeros((2, 2), dtype=np.int16), 16, True)
 
+    def test_locations_are_int8(self):
+        assert self.make([0, POOL_LOCATION, 15]).locations.dtype == np.int8
+
+    @pytest.mark.parametrize("location", [16, 259, 65539, 2**32 + 3,
+                                          -2, -257, -65537])
+    def test_out_of_range_never_wraps_into_range(self, location):
+        # 259 and 65539 wrap to 3 in int8 and int16, -257 to -1 (pool).
+        for dtype in (np.int32, np.int64):
+            if np.iinfo(dtype).min <= location <= np.iinfo(dtype).max:
+                with pytest.raises(ValueError):
+                    PageMap(np.array([0, location], dtype=dtype), 16, True)
+        with pytest.raises(ValueError):
+            PageMap([0, location], 16, True)
+
+    def test_rejects_more_sockets_than_int8_holds(self):
+        PageMap([127], 128, True)
+        with pytest.raises(ValueError):
+            PageMap([0], 129, True)
+
+    def test_an_int8_input_is_kept_without_a_copy(self):
+        locations = np.array([0, 3, POOL_LOCATION], dtype=np.int8)
+        assert PageMap(locations, 16, True).locations is locations
+
 
 class TestFirstTouch:
     def test_places_at_a_sharer(self, rng):

@@ -23,6 +23,11 @@ OPAQUE = (type, types.ModuleType, types.FunctionType,
 
 def reachable_arrays(root):
     """Every ndarray reachable from ``root`` through containers and attrs."""
+    return (obj for obj in reachable(root) if isinstance(obj, np.ndarray))
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through containers and attrs."""
     seen = set()
     stack = [root]
     while stack:
@@ -30,9 +35,10 @@ def reachable_arrays(root):
         if id(obj) in seen or isinstance(obj, OPAQUE):
             continue
         seen.add(id(obj))
+        yield obj
         if isinstance(obj, np.ndarray):
-            yield obj
-        elif isinstance(obj, dict):
+            continue
+        if isinstance(obj, dict):
             stack.extend(obj.keys())
             stack.extend(obj.values())
         elif isinstance(obj, (list, tuple, set, frozenset)):

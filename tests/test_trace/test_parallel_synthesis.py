@@ -60,12 +60,12 @@ def recording_draws(fail_phase=None, delay=0.0):
     original = TraceSynthesizer._draw
     calls = []
 
-    def draw(self, phase, scratch, flat, **kwargs):
+    def draw(self, phase, scratch, **kwargs):
         calls.append((phase, threading.current_thread()))
         if phase == fail_phase:
             raise RuntimeError(f"phase {phase} failed")
         time.sleep(delay)
-        return original(self, phase, scratch, flat, **kwargs)
+        return original(self, phase, scratch, **kwargs)
 
     with mock.patch.object(TraceSynthesizer, "_draw", draw):
         yield calls

@@ -46,12 +46,28 @@ class TestNarrowing:
         assert values.dtype == np.int32
         assert values.tolist() == [0, 7, INT32_MAX]
 
+    @pytest.mark.parametrize("low, high, dtype", [
+        (0, 127, np.int8), (0, 128, np.int16),
+        (-128, 0, np.int8), (-129, 0, np.int16),
+        (0, 32767, np.int16), (0, 32768, np.int32),
+        (-32768, 5, np.int16), (-32769, 5, np.int32),
+        (0, INT32_MAX, np.int32), (0, INT32_MAX + 1, np.int64),
+        (-INT32_MAX - 1, 0, np.int32), (-INT32_MAX - 2, 0, np.int64),
+    ])
+    def test_each_phase_takes_the_narrowest_type(self, low, high, dtype):
+        values = narrow_counts(np.array([low, 1, high], dtype=np.int64))
+        assert values.dtype == dtype
+        assert values.tolist() == [low, 1, high]
+
+    def test_an_empty_phase_is_int8(self):
+        assert narrow_counts(np.zeros(0, dtype=np.int64)).dtype == np.int8
+
     def test_overflowing_counts_stay_int64(self):
         values = narrow_counts(np.array([1, INT32_MAX + 1], dtype=np.int64))
         assert values.dtype == np.int64
         assert values.tolist() == [1, INT32_MAX + 1]
 
-    @pytest.mark.parametrize("top", [INT32_MAX, INT32_MAX + 1])
+    @pytest.mark.parametrize("top", [100, INT32_MAX, INT32_MAX + 1])
     def test_result_never_aliases_its_input(self, top):
         # Step A narrows out of a draw buffer the next phase overwrites.
         draws = np.array([1, top], dtype=np.int64)
@@ -86,7 +102,8 @@ class TestSparseLookups:
         trace = make_trace(self.COUNTS)
         assert trace.index.size == 6
         assert trace.values.tolist() == [5, 2, 3, 4, 7, 1]
-        assert trace.values.dtype == np.int32
+        # Stored in the narrowest type that holds the phase's counts.
+        assert trace.values.dtype == np.int8
 
     def test_columns_match_dense_columns(self):
         trace = make_trace(self.COUNTS)
