@@ -9,10 +9,13 @@ and attribute that holds it (``PhaseTrace.values``,
 ``SharerIndex.sockets``, ...). A view counts once, under its base.
 
 Each narrowed kind is also priced in the type it had before counts,
-entry sockets, page-major order and page maps were stored narrow (int32
-counts, int64 sockets and order, int16 maps), and the test asserts the
-narrow types and the saving. The tallies go to the benchmark JSON as
-``extra_info``.
+entry sockets, page-major order, page maps and moved page ids were
+stored narrow (int32 counts, int64 sockets, order and moved pages,
+int16 maps), and the test asserts the narrow types and the saving.
+After fig8 it also asserts that at most one population's
+``SharerIndex`` holds Step C's float64 tables (``membership_f64``,
+``entry_bt_fraction``, ``entry_write_fraction``). The tallies go to the
+benchmark JSON as ``extra_info``.
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_resident.py -s \\
         --benchmark-json bench-resident.json
@@ -26,7 +29,7 @@ import pytest
 
 from repro.config import TrackerKind
 from repro.experiments import ExperimentContext, fig08
-from repro.workloads.cells import narrowest_signed
+from repro.workloads.cells import SharerIndex, narrowest_signed
 
 SEED = 3
 MB = 2 ** 20
@@ -37,12 +40,14 @@ WIDE_ITEMSIZE = {
     "SharerIndex.sockets": 8,
     "SharerIndex._page_major[0]": 8,
     "PageMap.locations": 2,
+    "RegionMove.pages": 8,
 }
 #: Per narrowed kind, the type every array of it must have now.
 NARROW = {
     "SharerIndex.sockets": np.int8,
     "SharerIndex._page_major[0]": np.int32,
     "PageMap.locations": np.int8,
+    "RegionMove.pages": np.int32,
 }
 OPAQUE = (type, types.ModuleType, types.FunctionType,
           types.BuiltinFunctionType, types.MethodType)
@@ -142,6 +147,13 @@ def test_bench_resident(context, benchmark, show):
                       + [f"phase count types: {dict(phase_types)}"]))
 
     check_narrow(kinds)
+    assert kinds["RegionMove.pages"], "fig8 moves pages"
+    holders = [workload for workload in context.workload_names
+               if set(SharerIndex.STEP_C_TABLES)
+               & set(vars(context.setup(workload).population.index))]
+    assert len(holders) <= 1, holders
+    for name in SharerIndex.STEP_C_TABLES:
+        assert len(kinds.get(f"SharerIndex.{name}", [])) <= 1, name
     assert len(kinds["PhaseTrace.values"]) == 8 * context.n_phases
     assert kinds["SharerIndex._page_major[0]"], "Step B reads page order"
     assert len(kinds["PageMap.locations"]) > 8 * context.n_phases

@@ -42,7 +42,7 @@ CONTRACT: Dict[str, Set[str]] = {
     "workloads": set(),
     "lint": set(),
     # -- model layers -------------------------------------------------------
-    "tracking": {"config"},
+    "tracking": {"config", "workloads"},
     "cache": {"config"},
     "trace": {"workloads"},
     "topology": {"config", "interconnect", "faults"},

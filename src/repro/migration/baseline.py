@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import MigrationConfig
-from repro.migration.records import MigrationBatch, RegionMove
+from repro.migration.records import MigrationBatch, RegionMove, page_ids
 from repro.obs import OBS
 from repro.placement.pagemap import PageMap
 
@@ -141,7 +141,7 @@ class BaselinePolicy:
         if moved.size == 0:
             return batch
 
-        pages = candidates[moved]
+        pages = page_ids(candidates[moved])
         sources = sources[moved]
         destination = destination[moved]
         if OBS.enabled:

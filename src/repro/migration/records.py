@@ -10,13 +10,41 @@ import numpy as np
 from repro.topology.model import POOL_LOCATION
 
 
+#: The type of moved page ids: every footprint fits it.
+PAGE_ID_DTYPE = np.dtype(np.int32)
+_PAGE_ID_MAX = int(np.iinfo(PAGE_ID_DTYPE).max)
+
+
+def page_ids(pages: np.ndarray) -> np.ndarray:
+    """``pages`` as int32 page ids, checking the range before the cast.
+
+    An int32 array is returned as it is (a view stays a view); ids
+    outside ``[0, 2**31)`` raise ``ValueError`` instead of wrapping.
+    """
+    pages = np.asarray(pages)
+    if pages.dtype == PAGE_ID_DTYPE:
+        return pages
+    if pages.size and (pages.min() < 0 or pages.max() > _PAGE_ID_MAX):
+        raise ValueError(
+            f"page ids {pages.min()}..{pages.max()} leave "
+            f"[0, {_PAGE_ID_MAX}]")
+    return pages.astype(PAGE_ID_DTYPE)
+
+
 @dataclass(frozen=True)
 class RegionMove:
-    """One migration decision: a group of pages moving to a destination."""
+    """One migration decision: a group of pages moving to a destination.
+
+    ``pages`` is stored as int32 page ids (:func:`page_ids`); producers
+    that narrow first hand over views, which are kept as they are.
+    """
 
     pages: np.ndarray
     source: int
     destination: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pages", page_ids(self.pages))
 
     @property
     def n_pages(self) -> int:
@@ -122,5 +150,5 @@ class MigrationBatch:
 
     def all_pages(self) -> np.ndarray:
         if not self.moves:
-            return np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=PAGE_ID_DTYPE)
         return np.concatenate([move.pages for move in self.moves])

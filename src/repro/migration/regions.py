@@ -13,6 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.migration.records import page_ids
 from repro.placement.pagemap import PageMap
 
 
@@ -30,7 +31,7 @@ class RegionTable:
         region_pages: List[np.ndarray] = []
         page_to_region = np.empty(self.n_pages, dtype=np.int64)
         for socket in range(initial_map.n_sockets):
-            pages = initial_map.pages_at(socket)
+            pages = page_ids(initial_map.pages_at(socket))
             for start in range(0, pages.size, pages_per_region):
                 chunk = pages[start:start + pages_per_region]
                 page_to_region[chunk] = len(region_pages)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import MigrationConfig, TrackerKind
+from repro.workloads.cells import popcount
 
 
 def region_of_page(page: np.ndarray, pages_per_region: int) -> np.ndarray:
@@ -64,15 +65,8 @@ class RegionTrackerArray:
             np.minimum(self.counters, self.counter_max, out=self.counters)
 
     def sharer_counts(self) -> np.ndarray:
-        """Number of sharer bits set per region."""
-        # Vectorized popcount over uint32 via the 4-bit nibble table.
-        bits = self.sharer_bits
-        count = np.zeros_like(bits, dtype=np.int64)
-        value = bits.astype(np.uint64)
-        while np.any(value):
-            count += (value & 1).astype(np.int64)
-            value >>= np.uint64(1)
-        return count
+        """Number of sharer bits set per region (int64)."""
+        return popcount(self.sharer_bits).astype(np.int64)
 
     def sharers_of(self, region: int) -> np.ndarray:
         """Socket ids with their sharer bit set for ``region``."""

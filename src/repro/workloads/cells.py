@@ -14,8 +14,9 @@ bins on either layout: adding ``+0.0`` never changes a float.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
-from typing import TYPE_CHECKING, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -190,11 +191,25 @@ class SharerIndex(CountIndex):
 
     Built once per population (:attr:`PagePopulation.index`). Every
     synthesized phase is aligned to it, and it caches what each phase's
-    classification would otherwise recompute: the dense membership as
-    float64 (for the pool-owner matmul), the per-page block-transfer
-    fractions, and per-entry gathers of those fractions and of the
-    write fractions.
+    classification would otherwise recompute: the per-page
+    block-transfer fractions, and three float64 tables -- the dense
+    membership (for the pool-owner matmul) and per-entry gathers of the
+    block-transfer and write fractions.
+
+    The three tables outweigh the rest of the index, and a sweep
+    classifies one workload's phases at a time, so at most one index
+    holds them: building one on an index drops all three from the index
+    that held them before, which rebuilds them, bit for bit, if it is
+    read again. The holder is referenced weakly and never keeps a
+    finished set-up alive.
     """
+
+    #: Step C's tables, each kept in the instance ``__dict__`` under its
+    #: property's name while this index is the holder.
+    STEP_C_TABLES = ("membership_f64", "entry_bt_fraction",
+                     "entry_write_fraction")
+    #: The index holding the Step C tables, if it is still alive.
+    _step_c_holder: Optional["weakref.ref[SharerIndex]"] = None
 
     def __init__(self, population: "PagePopulation"):
         sockets = np.arange(population.n_sockets, dtype=np.uint32)
@@ -214,10 +229,6 @@ class SharerIndex(CountIndex):
         return self._sharer_mask
 
     @cached_property
-    def membership_f64(self) -> np.ndarray:
-        return self.membership.astype(np.float64)
-
-    @cached_property
     def bt_fraction(self) -> np.ndarray:
         """Per-page probability that a miss is served cache-to-cache.
 
@@ -230,10 +241,35 @@ class SharerIndex(CountIndex):
         remote_writer = np.where(sharers > 1, (sharers - 1) / sharers, 0.0)
         return np.minimum(1.0, self._coupling * intensity * remote_writer)
 
-    @cached_property
-    def entry_bt_fraction(self) -> np.ndarray:
-        return self.bt_fraction[self.pages]
+    @property
+    def membership_f64(self) -> np.ndarray:
+        return self._step_c_table(
+            "membership_f64", lambda: self.membership.astype(np.float64))
 
-    @cached_property
+    @property
+    def entry_bt_fraction(self) -> np.ndarray:
+        return self._step_c_table(
+            "entry_bt_fraction", lambda: self.bt_fraction[self.pages])
+
+    @property
     def entry_write_fraction(self) -> np.ndarray:
-        return self._write_fraction[self.pages]
+        return self._step_c_table(
+            "entry_write_fraction", lambda: self._write_fraction[self.pages])
+
+    def _drop_step_c_tables(self) -> None:
+        """Free this index's Step C tables; the next read rebuilds them."""
+        for name in self.STEP_C_TABLES:
+            self.__dict__.pop(name, None)
+
+    def _step_c_table(self, name: str,
+                      build: Callable[[], np.ndarray]) -> np.ndarray:
+        table = self.__dict__.get(name)
+        if table is None:
+            holder = SharerIndex._step_c_holder
+            previous = holder() if holder is not None else None
+            if previous is not self:
+                if previous is not None:
+                    previous._drop_step_c_tables()
+                SharerIndex._step_c_holder = weakref.ref(self)
+            table = self.__dict__[name] = build()
+        return table

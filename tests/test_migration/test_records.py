@@ -1,9 +1,10 @@
 """Tests for migration records."""
 
 import numpy as np
+import pytest
 
 from repro.migration import MigrationBatch
-from repro.migration.records import RegionMove
+from repro.migration.records import RegionMove, page_ids
 from repro.topology import POOL_LOCATION
 
 
@@ -21,6 +22,25 @@ class TestRegionMove:
 
     def test_n_pages(self):
         assert move([1, 2, 3], 0, 1).n_pages == 3
+
+    def test_pages_are_int32(self):
+        pages = move([0, 5, 2 ** 31 - 1], 0, 1).pages
+        assert pages.dtype == np.int32
+        assert pages.tolist() == [0, 5, 2 ** 31 - 1]
+        assert RegionMove(pages=[3, 4], source=0,
+                          destination=1).pages.dtype == np.int32
+
+    def test_int32_pages_are_kept_as_views(self):
+        pages = np.arange(10, dtype=np.int32)
+        assert RegionMove(pages=pages[2:5], source=0,
+                          destination=1).pages.base is pages
+
+    @pytest.mark.parametrize("page", [-1, 2 ** 31, 2 ** 32 + 3, -2 ** 32])
+    def test_out_of_range_ids_raise_instead_of_wrapping(self, page):
+        with pytest.raises(ValueError):
+            move([0, page], 0, 1)
+        with pytest.raises(ValueError):
+            page_ids(np.array([page], dtype=np.int64))
 
 
 class TestMigrationBatch:
@@ -51,3 +71,4 @@ class TestMigrationBatch:
 
     def test_all_pages_empty(self):
         assert MigrationBatch(phase=1).all_pages().size == 0
+        assert MigrationBatch(phase=1).all_pages().dtype == np.int32

@@ -5,9 +5,10 @@ aligned to the population's sharer cells. This module keeps the
 original dense computation -- float copies of the whole
 ``(n_sockets, n_pages)`` matrix and three bincounts over every cell --
 so the sparse path can be pinned to it with ``np.array_equal``, not
-approx, and timed against it. Its per-population caches stay as they
-were (attributes set on the population), so a timing compares warm
-against warm.
+approx, and timed against it. It caches only the per-page block-transfer
+fractions on the population; the float64 membership is built per call,
+so the oracle pins no dense copy per population for the rest of a test
+session.
 """
 
 from typing import TYPE_CHECKING, Optional
@@ -118,10 +119,7 @@ def classify_phase(counts: np.ndarray, page_map: PageMap,
     # page's transfer volume.
     bt_pool_per_page = bt_counts.sum(axis=0) * pool_pages
     per_sharer = bt_pool_per_page / population.sharer_count
-    membership = getattr(population, "_membership_f64", None)
-    if membership is None:
-        membership = population.membership().astype(np.float64)
-        population._membership_f64 = membership
+    membership = population.membership().astype(np.float64)
     bt_pool_owner = membership @ per_sharer
 
     if replica_local is not None:

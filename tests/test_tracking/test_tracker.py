@@ -68,6 +68,16 @@ class TestUpdates:
         tracker.update(np.zeros((4, 4), dtype=np.int64))
         assert (tracker.sharer_counts() == 0).all()
 
+    def test_sharer_counts_match_a_bit_loop(self):
+        tracker = RegionTrackerArray(6, 32, TrackerKind.T16)
+        tracker.sharer_bits[:] = np.array(
+            [0, 1, 0x80000000, 0xFFFFFFFF, 0x55555555, 0x12345678],
+            dtype=np.uint32)
+        counts = tracker.sharer_counts()
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [bin(int(bits)).count("1")
+                                   for bits in tracker.sharer_bits]
+
     def test_sharer_bits_sticky_within_phase(self):
         tracker = self.make()
         first = np.zeros((4, 4), dtype=np.int64)
