@@ -14,7 +14,8 @@ policy from phase 0, so it makes the baseline's decisions, and
 kept per phase and map content, and faulted route tables per fault
 state, so the counting test asserts one ``BaselinePolicy.decide`` call
 per baseline phase, one ``classify_phase`` call per distinct (phase,
-map) and one ``RouteTable`` build per distinct system or fault state.
+map), and one ``RouteTable`` build and one compiled ``_VectorKernel``
+per distinct fabric or fault state.
 
     PYTHONPATH=src python -m pytest benchmarks/test_bench_fault_ladder.py \\
         --benchmark-json bench-fault-ladder.json
@@ -69,8 +70,10 @@ def test_bench_fault_ladder(setup, benchmark):
 def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
     classified = []
     built = []
+    compiled = []
     decided = []
     classify, route_table = timing.classify_phase, timing.RouteTable
+    kernel = timing._VectorKernel
     decide = BaselinePolicy.decide
 
     def counting_classify(trace, page_map, *args):
@@ -81,6 +84,10 @@ def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
         built.append(topology)
         return route_table(topology)
 
+    def counting_kernel(routes):
+        compiled.append(routes)
+        return kernel(routes)
+
     def counting_decide(policy, trace, page_map):
         decided.append((trace.phase, page_map.locations.tobytes()))
         return decide(policy, trace, page_map)
@@ -88,6 +95,7 @@ def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
     monkeypatch.setattr(BaselinePolicy, "decide", counting_decide)
     monkeypatch.setattr(timing, "classify_phase", counting_classify)
     monkeypatch.setattr(timing, "RouteTable", counting_routes)
+    monkeypatch.setattr(timing, "_VectorKernel", counting_kernel)
     cold(setup)
     ran = run_ladder(setup)
 
@@ -102,8 +110,8 @@ def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
     distinct_states = set().union(*states)
     print(f"\n{WORKLOAD}: {len(classified)} classifications for "
           f"{len(maps)} distinct (phase, map) over {phase_lists} "
-          f"checkpoints; {len(built)} route tables for 2 systems and "
-          f"{len(distinct_states)} fault states "
+          f"checkpoints; {len(built)} route tables and {len(compiled)} "
+          f"kernels for 2 fabrics and {len(distinct_states)} fault states "
           f"({sum(map(len, states))} per simulator)")
     # Every baseline phase is decided once; the only other baseline
     # decisions are ``pool-dies-midrun``'s after its pool has drained.
@@ -117,4 +125,7 @@ def test_ladder_computes_each_distinct_input_once(setup, monkeypatch):
     assert set(classified) == maps
     assert len(maps) < phase_lists
     assert len(built) == 2 + len(distinct_states)
+    assert len(compiled) == len(built)
+    assert len({id(routes) for routes in compiled}) == len(compiled)
+    assert {routes.topology for routes in compiled} == set(built)
     assert len(distinct_states) < sum(map(len, states))

@@ -28,13 +28,6 @@ class CacheStats:
             return 0.0
         return self.misses / self.accesses
 
-    @property
-    def writeback_rate(self) -> float:
-        """Writebacks per miss (the dirty-eviction traffic multiplier)."""
-        if not self.misses:
-            return 0.0
-        return self.writebacks / self.misses
-
 
 @dataclass
 class AccessResult:

@@ -57,10 +57,14 @@ class ExperimentContext:
         self._workload_names = list(workloads) if workloads else [
             profile.name for profile in all_workloads()
         ]
-        self._setups: Dict[Tuple[str, int], SimulationSetup] = {}
-        self._simulators: Dict[Tuple[str, str, int], Simulator] = {}
-        self._calibrations: Dict[Tuple[str, int], CalibratedCpi] = {}
-        self._runs: Dict[Tuple[str, str, str, int], SimulationResult] = {}
+        # Keyed by (workload, scale, phase_multiplier), with the system
+        # itself -- never its name -- ahead of it for simulators and runs.
+        self._setups: Dict[Tuple[str, int, int], SimulationSetup] = {}
+        self._simulators: Dict[
+            Tuple[SystemConfig, str, int, int], Simulator] = {}
+        self._calibrations: Dict[Tuple[str, int, int], CalibratedCpi] = {}
+        self._runs: Dict[
+            Tuple[SystemConfig, str, str, int, int], SimulationResult] = {}
 
     # -- accessors -----------------------------------------------------------
 
@@ -84,7 +88,7 @@ class ExperimentContext:
         ``phase_multiplier`` lengthens each phase (the SC2 configuration
         of Fig. 14 simulates 3x more instructions per phase).
         """
-        key = (workload, scale * 1000 + phase_multiplier)
+        key = (workload, scale, phase_multiplier)
         if key not in self._setups:
             self._setups[key] = SimulationSetup.create(
                 self.profile(workload), self.baseline_system(scale),
@@ -96,7 +100,7 @@ class ExperimentContext:
     def simulator(self, system: SystemConfig, workload: str,
                   scale: int = 1,
                   phase_multiplier: int = 1) -> Simulator:
-        key = (system.name, workload, scale * 1000 + phase_multiplier)
+        key = (system, workload, scale, phase_multiplier)
         if key not in self._simulators:
             self._simulators[key] = Simulator(
                 system, self.setup(workload, scale, phase_multiplier)
@@ -106,7 +110,7 @@ class ExperimentContext:
     def calibration(self, workload: str, scale: int = 1,
                     phase_multiplier: int = 1) -> CalibratedCpi:
         """Fit (cached) from the baseline at this scale."""
-        key = (workload, scale * 1000 + phase_multiplier)
+        key = (workload, scale, phase_multiplier)
         if key not in self._calibrations:
             simulator = self.simulator(self.baseline_system(scale), workload,
                                        scale, phase_multiplier)
@@ -117,7 +121,7 @@ class ExperimentContext:
             mode: str = "dynamic", scale: int = 1,
             phase_multiplier: int = 1) -> SimulationResult:
         """Closed-loop run of one (system, workload) pair, cached."""
-        key = (system.name, workload, mode, scale * 1000 + phase_multiplier)
+        key = (system, workload, mode, scale, phase_multiplier)
         if key not in self._runs:
             simulator = self.simulator(system, workload, scale,
                                        phase_multiplier)

@@ -160,10 +160,6 @@ class FaultSchedule:
     def __iter__(self) -> "Iterator[FaultEvent]":
         return iter(self.events)
 
-    def events_at(self, phase: int) -> List[FaultEvent]:
-        """Events firing exactly at the boundary into ``phase``."""
-        return [event for event in self.events if event.phase == phase]
-
     def first_fault_phase(self) -> Optional[int]:
         return self.events[0].phase if self.events else None
 

@@ -401,10 +401,6 @@ class CallGraph:
     def module_body(self, module: str) -> Optional[FunctionInfo]:
         return self.functions.get(f"{module}.{MODULE_BODY}")
 
-    def functions_in(self, module: str) -> List[FunctionInfo]:
-        return [info for info in self.functions.values()
-                if info.module == module]
-
     def reachable(self, roots: "List[str] | Set[str]",
                   follow_refs: bool = False) -> Set[str]:
         """Function quals reachable from ``roots`` along call edges.

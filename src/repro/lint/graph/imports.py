@@ -172,11 +172,6 @@ class ImportGraph:
 
     # -- queries -------------------------------------------------------------
 
-    def imported_by(self, name: str) -> Set[str]:
-        """Project modules importing ``name`` directly."""
-        return {importer for importer, targets in self.imports.items()
-                if name in targets}
-
     def edges_from(self, name: str) -> List[ImportEdge]:
         return [edge for edge in self.edges if edge.importer == name]
 

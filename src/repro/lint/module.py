@@ -89,8 +89,3 @@ class LintProject:
 
     def module(self, name: str) -> Optional[LintModule]:
         return self._by_name.get(name)
-
-    def in_packages(self, prefixes: Iterable[str]) -> List[LintModule]:
-        prefixes = tuple(prefixes)
-        return [module for module in self.modules
-                if module.in_package(prefixes)]

@@ -165,12 +165,6 @@ class Obs:
         with self.redirect(MemorySink(records)):
             yield
 
-    def emit_raw(self, record: Dict[str, object]) -> None:
-        """Forward an already-formed record (worker-replay path)."""
-        if not self.enabled:
-            return
-        self._sink.emit(record)
-
     def absorb(self, record: Dict[str, object]) -> None:
         """Fold one captured record back into this pipeline.
 

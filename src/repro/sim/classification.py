@@ -55,9 +55,6 @@ class PhaseClassification:
     def demand_to_pool(self) -> float:
         return float(self.demand[:, self.pool_column].sum())
 
-    def block_transfers(self) -> float:
-        return float(self.bt_socket.sum() + self.bt_pool.sum())
-
 
 def block_transfer_fractions(population: PagePopulation) -> np.ndarray:
     """Per-page probability that a miss is served cache-to-cache.

@@ -40,7 +40,7 @@ from repro.sim.timing import (
     shared_geometry,
     system_geometry,
 )
-from repro.topology import RouteTable
+from repro.topology import Topology
 from repro.trace import PhaseTrace, TraceSynthesizer
 from repro.workloads import PagePopulation, WorkloadProfile, build_population
 
@@ -232,7 +232,7 @@ class Simulator:
         Clean phases (and fault-free runs) reuse the single ideal model,
         so an empty schedule is exactly the historical code path. Each
         distinct faulted state gets one model per simulator, on the
-        ``(Topology, RouteTable)`` every simulator of this system shares
+        ``(Topology, RouteTable)`` every simulator of this fabric shares
         for that state (:func:`~repro.sim.timing.shared_geometry`). May
         raise :class:`~repro.faults.PartitionedTopologyError` while
         computing routes if the state severs part of the fabric; such a
@@ -245,7 +245,7 @@ class Simulator:
             return self.timing
         if state not in self._fault_timing:
             topology, routes = shared_geometry(
-                (self.system, state),
+                (Topology.fabric(self.system), state),
                 lambda: faulted_topology(self.topology, state))
             self._fault_timing[state] = PhaseTimingModel(
                 self.system, topology, routes,
@@ -261,25 +261,9 @@ class Simulator:
                     ),
                     pool_failed=bool(getattr(state, "pool_failed",
                                              False)),
-                    reroutes=self._count_reroutes(routes),
+                    reroutes=routes.n_detours(),
                 )
         return self._fault_timing[state]
-
-    def _count_reroutes(self, routes: RouteTable) -> int:
-        """(requester, location) pairs forced onto a detour path."""
-        n = self.topology.n_sockets
-        locations = list(range(n))
-        if self.topology.has_pool:
-            from repro.topology.model import POOL_LOCATION
-
-            locations.append(POOL_LOCATION)
-        return sum(
-            1
-            for socket in range(n)
-            for location in locations
-            if socket != location
-            and routes.detour_penalty_ns(socket, location) > 0.0
-        )
 
     # -- Step B --------------------------------------------------------------
 

@@ -25,6 +25,7 @@ Every phase -- from :meth:`PhaseTimingModel.evaluate` or from
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List, Optional,
@@ -85,13 +86,11 @@ class FixedPointSettings:
 
 
 class _VectorKernel:
-    """Precompiled array form of one model's route/latency geometry.
+    """Precompiled array form of one route table's geometry.
 
-    Routes and unloaded latencies are fixed per (topology, route table)
-    pair. Kernels are deduped across models through a module cache keyed
-    by :meth:`RouteTable.fingerprint`, so fault states whose reroutes
-    collapse to identical surviving geometry share one compiled
-    incidence (see :func:`_compiled_kernel`). Rows are the access
+    Routes and unloaded latencies are fixed per route table (and its
+    topology), so each table compiles one kernel, which every model on
+    that table shares (see :func:`_kernel_of`). Rows are the access
     families of the per-route formulation:
 
     * ``demand`` rows, one per (socket, location column) pair;
@@ -107,9 +106,8 @@ class _VectorKernel:
     utilization -> waiting-time -> dot-product pipeline.
     """
 
-    def __init__(self, model: "PhaseTimingModel"):
-        topology = model.topology
-        routes = model.routes
+    def __init__(self, routes: RouteTable):
+        topology = routes.topology
         index = topology.link_index()
         n = topology.n_sockets
         n_locations = n + 1
@@ -257,39 +255,31 @@ class _VectorKernel:
         return charge, weighted_unloaded
 
 
-#: Compiled-kernel dedup cache, keyed by route-table fingerprint. A
-#: kernel is immutable after construction and reads nothing per-phase,
-#: so models whose route tables hash identically (e.g. consecutive
-#: fault states that reroute to the same surviving geometry, or the
-#: many simulators of one config) can share one instance. Bounded
-#: LRU: a 16-socket kernel's matrices run to a few MB.
-_KERNEL_CACHE: "OrderedDict[str, _VectorKernel]" = OrderedDict()
-_KERNEL_CACHE_LIMIT = 16
+#: The compiled kernel of each route table, made on first use and
+#: dropped with its table. A kernel reads nothing per phase, so every
+#: model on one table -- all simulators of one fabric or fault state --
+#: shares it.
+_KERNELS: "weakref.WeakKeyDictionary[RouteTable, _VectorKernel]" = (
+    weakref.WeakKeyDictionary())
 
 
-def _compiled_kernel(model: "PhaseTimingModel") -> _VectorKernel:
-    """Fetch or build the compiled kernel for ``model``'s route table."""
-    key = model.routes.fingerprint()
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None:
-        _KERNEL_CACHE.move_to_end(key)
-        OBS.counter("sim.kernel.compile_cache_hit")
-        return cached
-    kernel = _VectorKernel(model)
-    OBS.counter("sim.kernel.compiled")
-    _KERNEL_CACHE[key] = kernel
-    while len(_KERNEL_CACHE) > _KERNEL_CACHE_LIMIT:
-        _KERNEL_CACHE.popitem(last=False)
+def _kernel_of(routes: RouteTable) -> _VectorKernel:
+    """The compiled kernel of ``routes`` (built once per table)."""
+    kernel = _KERNELS.get(routes)
+    if kernel is None:
+        kernel = _KERNELS[routes] = _VectorKernel(routes)
+        OBS.counter("sim.kernel.compiled")
     return kernel
 
 
 #: Topology and route table of each fabric a run times, keyed by what
-#: the pair is built from: the frozen :class:`SystemConfig` for an
-#: ideal fabric, ``(SystemConfig, FaultState)`` for a faulted one. Every
-#: simulator of one system -- the many workloads of a figure -- shares
-#: one ideal pair, and every simulator reaching one fault state shares
-#: one faulted pair, with the table's memoized fingerprint and
-#: migration slots. A state that partitions the fabric raises while its
+#: the pair is built from: :meth:`Topology.fabric` of the system for an
+#: ideal fabric, ``(fabric, FaultState)`` for a faulted one. Every
+#: simulator of one fabric -- the many workloads of a figure, and
+#: systems that differ only in name, migration or pool capacity --
+#: shares one ideal pair, and every simulator reaching one fault state
+#: shares one faulted pair, with the table's migration slots and
+#: compiled kernel. A state that partitions the fabric raises while its
 #: table is built, so it is never stored. Bounded LRU over both kinds.
 _GEOMETRY_CACHE: "OrderedDict[Hashable, Tuple[Topology, RouteTable]]" = (
     OrderedDict())
@@ -317,7 +307,7 @@ def shared_geometry(key: Hashable, build: Callable[[], Topology]
 
 def system_geometry(system: SystemConfig) -> Tuple[Topology, RouteTable]:
     """The shared ``(Topology, RouteTable)`` of ``system``'s ideal fabric."""
-    return shared_geometry(system, lambda: Topology(system))
+    return shared_geometry(Topology.fabric(system), lambda: Topology(system))
 
 
 class PhaseTimingModel:
@@ -344,18 +334,10 @@ class PhaseTimingModel:
             self._classification_key = hashlib.blake2b(
                 replication.replicated.tobytes()).hexdigest()
         self._pool_index = topology.n_sockets
-        self._kernel: Optional[_VectorKernel] = None
 
     def _vector_kernel(self) -> _VectorKernel:
-        """The compiled array kernel of this model (built on first use).
-
-        Resolved through the fingerprint-keyed module cache, so models
-        with identical route geometry (repeated fault states, simulators
-        of one config) share one compiled kernel.
-        """
-        if self._kernel is None:
-            self._kernel = _compiled_kernel(self)
-        return self._kernel
+        """The compiled array kernel of this model's route table."""
+        return _kernel_of(self.routes)
 
     # -- public ------------------------------------------------------------
 

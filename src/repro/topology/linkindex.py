@@ -49,10 +49,6 @@ class CompiledRoute:
     delay_slots: np.ndarray
     delay_weights: np.ndarray
 
-    @property
-    def n_hops(self) -> int:
-        return int(self.forward_slots.size)
-
 
 class LinkIndex:
     """Slot assignment and per-slot constant vectors of one topology."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class DirectedLink:
     link: Link
     forward: bool
 
-    @property
-    def direction_key(self) -> Tuple[str, bool]:
-        return (self.link.link_id, self.forward)
-
     def reversed(self) -> "DirectedLink":
         return DirectedLink(self.link, not self.forward)
 
@@ -103,6 +99,18 @@ class Topology:
         self.n_sockets = config.n_sockets
         self.has_pool = config.pool.enabled
         self._links = self._build_links()
+
+    @staticmethod
+    def fabric(config: SystemConfig) -> Hashable:
+        """The fields of ``config`` a topology is built from.
+
+        Chassis count, sockets per chassis, whether there is a pool,
+        latencies and bandwidths: configs that agree on these (and
+        differ only in name, cores, migration or pool capacity) have
+        equal topologies and route tables.
+        """
+        return (config.n_chassis, config.sockets_per_chassis,
+                config.pool.enabled, config.latency, config.bandwidth)
 
     # -- structure ---------------------------------------------------------
 

@@ -9,7 +9,6 @@ pair and cached, since route lookup is on the hot path of the timing model.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -35,36 +34,54 @@ NOMINAL_HOPS = {
 
 #: Graph nodes of the coherent fabric: sockets, FLEX ASICs, the pool.
 _Node = Tuple[str, int]
+_POOL_NODE: _Node = ("p", 0)
+#: Adjacency: each node's (neighbour, traversal) pairs in link order.
+_Graph = Dict[_Node, List[Tuple[_Node, DirectedLink]]]
 
 
 class RouteTable:
     """Precomputed request routes for every (requester, location) pair.
 
-    On the ideal topology every route is hand-built from the hierarchy
-    (fast, and byte-for-byte the historical construction). When links are
-    missing -- a :class:`~repro.faults.FaultedTopology` -- construction
-    falls back to a breadth-first search over the surviving link graph,
-    so traffic reroutes around failures (a dead UPI peer link detours
-    through the chassis ASIC, a dead NUMALink bundle through a third
-    chassis, a dead CXL link through a neighbour socket's CXL port).
-    Detoured routes remember the extra unloaded latency of their longer
-    path; :meth:`detour_penalty_ns` reports it to the timing model. If no
-    path survives, a structured
+    Every route comes from one breadth-first search per requester over
+    the fabric's link graph: every link on the ideal topology, the
+    surviving ones on a :class:`~repro.faults.FaultedTopology`. On the
+    ideal fabric each access class has exactly one shortest path, with
+    :data:`NOMINAL_HOPS` coherent hops. A route with more hops than its
+    class's nominal count is a detour around failed links (a dead UPI
+    peer link detours through the chassis ASIC, a dead NUMALink bundle
+    through a third chassis, a dead CXL link through a neighbour
+    socket's CXL port); detours remember the extra unloaded latency of
+    their longer path, which :meth:`detour_penalty_ns` reports to the
+    timing model. If no path survives, a structured
     :class:`~repro.faults.PartitionedTopologyError` is raised.
     """
 
     def __init__(self, topology: Topology):
+        from repro.faults.errors import PartitionedTopologyError
+
         self.topology = topology
         self._routes: Dict[Tuple[int, int], Route] = {}
         self._detour_ns: Dict[Tuple[int, int], float] = {}
-        self._graph: Optional[Dict[_Node, List[Tuple[_Node, DirectedLink]]]] = None
-        self._fingerprint: Optional[str] = None
         self._migration_slots: Optional[np.ndarray] = None
+        graph = self._link_graph()
         for requester in topology.sockets():
+            paths = _shortest_paths(graph, ("s", requester))
             for location in topology.locations():
-                self._routes[(requester, location)] = self._build_route(
-                    requester, location
-                )
+                path = paths.get(_POOL_NODE if location == POOL_LOCATION
+                                 else ("s", location))
+                if path is None:
+                    raise PartitionedTopologyError(
+                        requester, location,
+                        getattr(topology, "removed_links", frozenset()),
+                    )
+                route = path + (DirectedLink(
+                    topology.link(topology.dram_link_id(location)),
+                    forward=True),)
+                self._routes[(requester, location)] = route
+                kind = topology.classify(requester, location)
+                if len(path) > NOMINAL_HOPS[kind]:
+                    self._detour_ns[(requester, location)] = (
+                        self._detour_penalty(kind, route))
 
     def route(self, requester: int, location: int) -> Route:
         """Return the request route from ``requester`` to ``location``.
@@ -83,6 +100,10 @@ class RouteTable:
     def detour_penalty_ns(self, requester: int, location: int) -> float:
         """Extra unloaded latency of a fault-detoured route (0 if direct)."""
         return self._detour_ns.get((requester, location), 0.0)
+
+    def n_detours(self) -> int:
+        """(requester, location) pairs forced onto a costlier detour."""
+        return sum(1 for penalty in self._detour_ns.values() if penalty > 0.0)
 
     def migration_slots(self) -> np.ndarray:
         """Slots a page copy charges, per (source, destination) pair.
@@ -122,51 +143,6 @@ class RouteTable:
             table[source_column, destination_column, :len(row)] = row
         self._migration_slots = table
         return table
-
-    def fingerprint(self) -> str:
-        """Content hash of everything a compiled timing kernel depends on.
-
-        Two route tables with equal fingerprints produce identical
-        compiled incidence matrices and unloaded-latency geometry: the
-        hash covers the link inventory in iteration order (which fixes
-        the dense slot assignment), per-link kinds and capacities, the
-        unloaded latency of every access class (including fault latency
-        factors), every (requester, location) route hop by hop, and the
-        detour penalties of rerouted paths. Fault states whose reroutes
-        collapse to the same surviving geometry therefore share one
-        fingerprint, which the timing layer uses to dedupe kernel
-        compilation across fault states.
-        """
-        if self._fingerprint is not None:
-            return self._fingerprint
-        topology = self.topology
-        parts: List[str] = [
-            "route-table-v1",
-            f"n_sockets={topology.n_sockets}",
-            f"has_pool={topology.has_pool}",
-        ]
-        for link_id, link in topology.links.items():
-            parts.append(
-                f"link:{link_id}:{link.kind.value}:{link.capacity_gbps!r}"
-            )
-        for access_type in AccessType:
-            parts.append(
-                f"lat:{access_type.value}:"
-                f"{topology.unloaded_latency_ns(access_type)!r}"
-            )
-        for (requester, location), route in sorted(self._routes.items()):
-            hops = ",".join(
-                f"{hop.link.link_id}:{int(hop.forward)}" for hop in route
-            )
-            detour = self._detour_ns.get((requester, location), 0.0)
-            kind = topology.classify(requester, location)
-            parts.append(
-                f"route:{requester}:{location}:{kind.value}:"
-                f"{hops}:{detour!r}"
-            )
-        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-        self._fingerprint = digest
-        return digest
 
     def block_transfer_route(self, requester: int, owner: int,
                              home: int) -> Route:
@@ -215,87 +191,10 @@ class RouteTable:
 
     # -- construction ------------------------------------------------------
 
-    def _build_route(self, requester: int, location: int) -> Route:
-        try:
-            return self._direct_route(requester, location)
-        except KeyError:
-            # A link of the hierarchical route is gone: search the
-            # surviving fabric instead.
-            route = self._search_route(requester, location)
-            self._detour_ns[(requester, location)] = self._detour_penalty(
-                requester, location, route
-            )
-            return route
-
-    def _direct_route(self, requester: int, location: int) -> Route:
+    def _link_graph(self) -> _Graph:
+        """Adjacency over the topology's coherent links."""
         topology = self.topology
-        hops: List[DirectedLink] = []
-        if location == POOL_LOCATION:
-            hops.append(DirectedLink(
-                topology.link(topology.cxl_link_id(requester)), forward=True
-            ))
-        elif location != requester:
-            hops.extend(self._socket_to_socket_links(requester, location))
-        hops.append(DirectedLink(
-            topology.link(topology.dram_link_id(location)), forward=True
-        ))
-        return tuple(hops)
-
-    # -- fault rerouting ---------------------------------------------------
-
-    def _search_route(self, requester: int, location: int) -> Route:
-        """Shortest surviving path, then the destination's DRAM hop."""
-        from repro.faults.errors import PartitionedTopologyError
-
-        topology = self.topology
-        source: _Node = ("s", requester)
-        target: _Node = (("p", 0) if location == POOL_LOCATION
-                         else ("s", location))
-        path = self._shortest_path(source, target)
-        if path is None:
-            raise PartitionedTopologyError(
-                requester, location,
-                getattr(topology, "removed_links", frozenset()),
-            )
-        return tuple(path) + (DirectedLink(
-            topology.link(topology.dram_link_id(location)), forward=True
-        ),)
-
-    def _shortest_path(self, source: _Node,
-                       target: _Node) -> Optional[List[DirectedLink]]:
-        if source == target:
-            return []
-        graph = self._surviving_graph()
-        pool_node: _Node = ("p", 0)
-        parents: Dict[_Node, Tuple[_Node, DirectedLink]] = {}
-        visited = {source}
-        frontier = deque([source])
-        while frontier:
-            node = frontier.popleft()
-            if node == pool_node:
-                continue  # the pool is a memory device, not a router
-            for neighbor, hop in graph.get(node, ()):
-                if neighbor in visited:
-                    continue
-                visited.add(neighbor)
-                parents[neighbor] = (node, hop)
-                if neighbor == target:
-                    hops: List[DirectedLink] = []
-                    cursor = target
-                    while cursor != source:
-                        cursor, edge = parents[cursor]
-                        hops.append(edge)
-                    hops.reverse()
-                    return hops
-                frontier.append(neighbor)
-        return None
-
-    def _surviving_graph(self) -> Dict[_Node, List[Tuple[_Node, DirectedLink]]]:
-        """Adjacency over surviving coherent links (built once, on demand)."""
-        if self._graph is not None:
-            return self._graph
-        topology = self.topology
-        graph: Dict[_Node, List[Tuple[_Node, DirectedLink]]] = {}
+        graph: _Graph = {}
 
         def connect(a: _Node, b: _Node, link_id: str) -> None:
             # ``a`` is the canonical source of the link: traversing a -> b
@@ -319,13 +218,11 @@ class RouteTable:
                 connect(("a", a), ("a", b), topology.numalink_id(a, b))
         if topology.has_pool:
             for socket in range(topology.n_sockets):
-                connect(("s", socket), ("p", 0),
+                connect(("s", socket), _POOL_NODE,
                         topology.cxl_link_id(socket))
-        self._graph = graph
         return graph
 
-    def _detour_penalty(self, requester: int, location: int,
-                        route: Route) -> float:
+    def _detour_penalty(self, kind: AccessType, route: Route) -> float:
         """Unloaded-latency surcharge of a detoured route over the nominal.
 
         Each coherent hop carries a one-way latency share consistent with
@@ -341,7 +238,6 @@ class RouteTable:
         per_hop = {LinkKind.UPI: upi_ns, LinkKind.NUMALINK: numa_ns,
                    LinkKind.CXL: 0.0, LinkKind.DRAM: 0.0}
         actual = sum(per_hop[hop.link.kind] for hop in route)
-        kind = self.topology.classify(requester, location)
         nominal = {
             AccessType.LOCAL: 0.0,
             AccessType.INTRA_CHASSIS: upi_ns,
@@ -350,25 +246,25 @@ class RouteTable:
         }[kind]
         return max(0.0, actual - nominal)
 
-    def _socket_to_socket_links(self, src: int, dst: int) -> List[DirectedLink]:
-        """Coherent-link traversals from socket ``src`` to socket ``dst``."""
-        topology = self.topology
-        if src == dst:
-            return []
-        if topology.same_chassis(src, dst):
-            link = topology.link(topology.upi_peer_link_id(src, dst))
-            # Forward orientation of a peer link is low-id -> high-id.
-            return [DirectedLink(link, forward=src < dst)]
-        chassis_src = topology.chassis_of(src)
-        chassis_dst = topology.chassis_of(dst)
-        numalink = topology.link(topology.numalink_id(chassis_src, chassis_dst))
-        return [
-            DirectedLink(topology.link(topology.upi_asic_link_id(src)),
-                         forward=True),
-            DirectedLink(numalink, forward=chassis_src < chassis_dst),
-            DirectedLink(topology.link(topology.upi_asic_link_id(dst)),
-                         forward=False),
-        ]
+
+def _shortest_paths(graph: _Graph, source: _Node) -> Dict[_Node, Route]:
+    """Breadth-first shortest path from ``source`` to every reachable node.
+
+    Neighbours are visited in adjacency order and each node keeps the
+    path it was first reached by. The pool is a memory device, not a
+    router: it is reached but never expanded.
+    """
+    paths: Dict[_Node, Route] = {source: ()}
+    frontier = deque([source])
+    while frontier:
+        node = frontier.popleft()
+        if node == _POOL_NODE:
+            continue
+        for neighbor, hop in graph.get(node, ()):
+            if neighbor not in paths:
+                paths[neighbor] = paths[node] + (hop,)
+                frontier.append(neighbor)
+    return paths
 
 
 def average_block_transfer_latency_ns(topology: Topology) -> float:

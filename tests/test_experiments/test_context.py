@@ -1,7 +1,10 @@
 """Tests for the experiment context (caching and shared state)."""
 
+import dataclasses
+
 import pytest
 
+from repro.config import with_pool_latency_penalty
 from repro.experiments import ExperimentContext
 
 
@@ -43,6 +46,18 @@ class TestCaching:
         dynamic = context.run(star, "poa")
         static = context.run(star, "poa", mode="static")
         assert dynamic is not static
+
+    def test_runs_keyed_by_system_not_name(self, context):
+        star = context.starnuma_system()
+        slow = dataclasses.replace(
+            with_pool_latency_penalty(star, 190.0), name=star.name)
+        assert slow.name == star.name and slow != star
+        assert (context.simulator(slow, "tc")
+                is not context.simulator(star, "tc"))
+        fast_run, slow_run = context.run(star, "tc"), context.run(slow, "tc")
+        assert slow_run is not fast_run
+        assert slow_run.amat_ns > fast_run.amat_ns
+        assert context.run(slow, "tc") is slow_run
 
 
 class TestResults:

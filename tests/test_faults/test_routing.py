@@ -6,11 +6,13 @@ from repro.faults import (
     FaultEvent,
     FaultKind,
     FaultSchedule,
+    FaultState,
     PartitionedTopologyError,
     faulted_topology,
 )
 from repro.topology import RouteTable
 from repro.topology.model import LinkKind
+from repro.topology.routing import NOMINAL_HOPS
 
 
 def routes_under(topology, *events):
@@ -114,3 +116,35 @@ class TestCleanStateIsFree:
             for location in star_topology.locations():
                 assert star_routes.detour_penalty_ns(
                     requester, location) == 0.0
+
+
+class TestEverySingleLinkFailure:
+    def test_partitions_or_detours_at_a_positive_penalty(self,
+                                                         star_topology):
+        """Each coherent link's failure on the 16-socket pool fabric."""
+        coherent = [link_id for link_id, link in star_topology.links.items()
+                    if link.kind is not LinkKind.DRAM]
+        for link_id in coherent:
+            topology = faulted_topology(
+                star_topology, FaultState(failed_links=frozenset([link_id])))
+            try:
+                routes = RouteTable(topology)
+            except PartitionedTopologyError as error:
+                assert link_id in error.failed_links
+                continue
+            detours = 0
+            for requester in topology.sockets():
+                for location in topology.locations():
+                    route = routes.route(requester, location)
+                    assert link_id not in link_ids(route)
+                    hops = routes.interconnect_hops(requester, location)
+                    nominal = NOMINAL_HOPS[
+                        topology.classify(requester, location)]
+                    penalty = routes.detour_penalty_ns(requester, location)
+                    assert hops >= nominal
+                    if hops > nominal:
+                        assert penalty > 0.0
+                        detours += 1
+                    else:
+                        assert penalty == 0.0
+            assert routes.n_detours() == detours > 0

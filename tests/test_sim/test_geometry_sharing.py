@@ -1,9 +1,10 @@
 """Topology, routes and first-touch are built once per distinct input.
 
-Simulators of one :class:`SystemConfig` share one ``(Topology,
-RouteTable)`` from a bounded LRU (``timing.system_geometry``), and
-simulators reaching one fault state share one faulted pair from the
-same LRU (``timing.shared_geometry``); a setup keeps its first-touch
+Simulators of one fabric (:meth:`Topology.fabric` of their
+:class:`SystemConfig`) share one ``(Topology, RouteTable)`` from a
+bounded LRU (``timing.system_geometry``), and simulators reaching one
+fault state share one faulted pair from the same LRU
+(``timing.shared_geometry``); a setup keeps its first-touch
 locations and hands each run a copy. These tests pin who shares, who
 does not, the bound, and that the memo equals a direct
 ``first_touch_placement`` call.
@@ -28,6 +29,7 @@ from repro.faults import (
 from repro.obs import OBS, MemorySink, shutdown
 from repro.placement import first_touch_placement
 from repro.sim import SimulationSetup, Simulator, timing
+from repro.topology import Topology
 from repro.workloads import get_workload
 
 
@@ -73,8 +75,8 @@ class TestRouteTableSharing:
         simulators = [Simulator(system, setup) for system in systems]
         assert len(timing._GEOMETRY_CACHE) == limit
         # The oldest entries were evicted, the newest kept.
-        assert systems[0] not in timing._GEOMETRY_CACHE
-        assert systems[-1] in timing._GEOMETRY_CACHE
+        assert Topology.fabric(systems[0]) not in timing._GEOMETRY_CACHE
+        assert Topology.fabric(systems[-1]) in timing._GEOMETRY_CACHE
         assert Simulator(systems[-1], setup).routes is simulators[-1].routes
         assert Simulator(systems[0], setup).routes is not simulators[0].routes
         assert len(timing._GEOMETRY_CACHE) == limit
@@ -160,7 +162,8 @@ class TestFaultedGeometrySharing:
                     simulator._phase_timing_model(1)
             assert state not in simulator._fault_timing
         assert len(built) == 4
-        assert (starnuma_config(), state) not in timing._GEOMETRY_CACHE
+        assert ((Topology.fabric(starnuma_config()), state)
+                not in timing._GEOMETRY_CACHE)
 
     def test_bound_holds_with_faulted_entries(self, setup):
         limit = timing._GEOMETRY_CACHE_LIMIT
@@ -170,12 +173,13 @@ class TestFaultedGeometrySharing:
         routes = [Simulator(star, setup, faults=schedule)
                   ._phase_timing_model(0).routes for schedule in schedules]
         assert len(timing._GEOMETRY_CACHE) == limit
-        keys = [(star, schedule.state_at(0)) for schedule in schedules]
+        keys = [(Topology.fabric(star), schedule.state_at(0))
+                for schedule in schedules]
         assert keys[0] not in timing._GEOMETRY_CACHE
         assert keys[-1] in timing._GEOMETRY_CACHE
         # The ideal pair of the running system was touched by each
         # simulator, so it stayed while older faulted entries went.
-        assert star in timing._GEOMETRY_CACHE
+        assert Topology.fabric(star) in timing._GEOMETRY_CACHE
         newest = Simulator(star, setup, faults=schedules[-1])
         assert newest._phase_timing_model(0).routes is routes[-1]
         oldest = Simulator(star, setup, faults=schedules[0])

@@ -1,12 +1,14 @@
-"""Kernel compilation dedup: fingerprint-keyed cache across fault states."""
+"""One compiled kernel per route table, shared by every model on it."""
+
+import gc
+import weakref
 
 import pytest
 
-from repro.config import baseline_config, starnuma_config
+from repro.config import TrackerKind, baseline_config, starnuma_config
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.obs import OBS, MemorySink, shutdown
-from repro.sim import SimulationSetup, Simulator
-from repro.sim.timing import _KERNEL_CACHE, _KERNEL_CACHE_LIMIT
+from repro.sim import SimulationSetup, Simulator, timing
 from repro.topology import RouteTable, Topology
 from repro.workloads import WORKLOADS
 
@@ -20,30 +22,10 @@ def world():
     return base, setup, calibration
 
 
-class TestFingerprint:
-    def test_stable_and_cached(self):
-        routes = RouteTable(Topology(starnuma_config()))
-        assert routes.fingerprint() == routes.fingerprint()
-
-    def test_identical_topologies_agree(self):
-        first = RouteTable(Topology(starnuma_config()))
-        second = RouteTable(Topology(starnuma_config()))
-        assert first.fingerprint() == second.fingerprint()
-
-    def test_different_topologies_differ(self):
-        base = RouteTable(Topology(baseline_config()))
-        star = RouteTable(Topology(starnuma_config()))
-        assert base.fingerprint() != star.fingerprint()
-
-    def test_pool_degrade_changes_fingerprint(self):
-        """A degraded pool reroutes nothing but changes latencies."""
-        from repro.faults import FaultState, faulted_topology
-
-        clean = Topology(starnuma_config())
-        state = FaultState(pool_latency_factor=2.0)
-        degraded = faulted_topology(clean, state)
-        assert (RouteTable(clean).fingerprint()
-                != RouteTable(degraded).fingerprint())
+def compiled(records):
+    metrics = {r["name"]: r for r in records if r["kind"] == "metric"}
+    assert "sim.kernel.compile_cache_hit" not in metrics
+    return metrics.get("sim.kernel.compiled", {}).get("value", 0)
 
 
 class TestCompileCache:
@@ -54,9 +36,19 @@ class TestCompileCache:
         assert (first.timing._vector_kernel()
                 is second.timing._vector_kernel())
 
-    def test_cache_hit_counter(self, world):
+    def test_t16_and_t0_share_geometry_and_kernel(self, world):
+        _, setup, _ = world
+        t16 = Simulator(starnuma_config(tracker=TrackerKind.T16), setup)
+        t0 = Simulator(starnuma_config(tracker=TrackerKind.T0), setup)
+        assert t16.system != t0.system
+        assert t0.topology is t16.topology
+        assert t0.routes is t16.routes
+        assert t0.timing is not t16.timing
+        assert t0.timing._vector_kernel() is t16.timing._vector_kernel()
+
+    def test_two_runs_compile_one_kernel(self, world):
         base, setup, calibration = world
-        _KERNEL_CACHE.clear()
+        timing._GEOMETRY_CACHE.clear()
         records = []
         OBS.configure(MemorySink(records))
         try:
@@ -66,12 +58,10 @@ class TestCompileCache:
                                        warmup_phases=1)
         finally:
             shutdown()
-        metrics = {r["name"]: r for r in records if r["kind"] == "metric"}
-        assert metrics["sim.kernel.compiled"]["value"] == 1
-        assert metrics["sim.kernel.compile_cache_hit"]["value"] >= 1
+        assert compiled(records) == 1
 
     def test_faulted_states_compile_once_per_distinct_table(self, world):
-        """Fault phases with identical rerouted tables share one kernel."""
+        """A fault state compiles one kernel, shared by two simulators."""
         base, setup, calibration = world
         star = starnuma_config()
         star_setup = SimulationSetup.create(WORKLOADS["sssp"], base,
@@ -80,23 +70,35 @@ class TestCompileCache:
             FaultEvent(FaultKind.POOL_DEGRADE, phase=1,
                        capacity_factor=0.5, latency_factor=2.0),
         ]
-        _KERNEL_CACHE.clear()
+        timing._GEOMETRY_CACHE.clear()
         records = []
+        simulators = []
         OBS.configure(MemorySink(records))
         try:
-            # Two simulators with the same fault schedule: the second's
-            # faulted-state kernel must come from the cache.
             for _ in range(2):
-                Simulator(star, star_setup,
-                          faults=FaultSchedule(list(faults))).run(
-                    calibration=calibration, warmup_phases=1)
+                simulator = Simulator(star, star_setup,
+                                      faults=FaultSchedule(list(faults)))
+                simulator.run(calibration=calibration, warmup_phases=1)
+                simulators.append(simulator)
         finally:
             shutdown()
-        metrics = {r["name"]: r for r in records if r["kind"] == "metric"}
         # One clean kernel + one degraded kernel, compiled exactly once.
-        assert metrics["sim.kernel.compiled"]["value"] == 2
-        assert metrics["sim.kernel.compile_cache_hit"]["value"] >= 2
+        assert compiled(records) == 2
+        first, second = (simulator._phase_timing_model(1)
+                         for simulator in simulators)
+        assert first is not second
+        assert first.routes is second.routes
+        assert first._vector_kernel() is second._vector_kernel()
+        assert (first._vector_kernel()
+                is not simulators[0].timing._vector_kernel())
 
-    def test_cache_is_bounded(self):
-        assert _KERNEL_CACHE_LIMIT >= 1
-        assert len(_KERNEL_CACHE) <= _KERNEL_CACHE_LIMIT
+    def test_kernel_is_freed_with_its_table(self):
+        routes = RouteTable(Topology(starnuma_config()))
+        kernel = weakref.ref(timing._kernel_of(routes))
+        assert routes in timing._KERNELS
+        assert timing._kernel_of(routes) is kernel()
+        held = len(timing._KERNELS)
+        del routes
+        gc.collect()
+        assert kernel() is None
+        assert len(timing._KERNELS) == held - 1

@@ -2,8 +2,20 @@
 
 import pytest
 
-from repro.topology import LinkKind, POOL_LOCATION
-from repro.topology.routing import average_block_transfer_latency_ns
+from repro.config import baseline_config, starnuma_config
+from repro.experiments.ext_scale import thirty_two_socket_config
+from repro.topology import LinkKind, POOL_LOCATION, RouteTable, Topology
+from repro.topology.routing import (
+    NOMINAL_HOPS,
+    average_block_transfer_latency_ns,
+)
+
+IDEAL_FABRICS = {
+    "16-no-pool": baseline_config,
+    "16-pool": starnuma_config,
+    "32-no-pool": lambda: thirty_two_socket_config().without_pool("b32"),
+    "32-pool": thirty_two_socket_config,
+}
 
 
 class TestRoutes:
@@ -52,6 +64,21 @@ class TestRoutes:
         assert star_routes.interconnect_hops(0, 1) == 1
         assert star_routes.interconnect_hops(0, 15) == 3
         assert star_routes.interconnect_hops(0, POOL_LOCATION) == 1
+
+    @pytest.mark.parametrize("fabric", sorted(IDEAL_FABRICS))
+    def test_ideal_routes_take_nominal_hops(self, fabric):
+        topology = Topology(IDEAL_FABRICS[fabric]())
+        routes = RouteTable(topology)
+        pairs = [(requester, location) for requester in topology.sockets()
+                 for location in topology.locations()]
+        assert len(pairs) == topology.n_sockets * (
+            topology.n_sockets + topology.has_pool)
+        for requester, location in pairs:
+            kind = topology.classify(requester, location)
+            assert (routes.interconnect_hops(requester, location)
+                    == NOMINAL_HOPS[kind])
+            assert routes.detour_penalty_ns(requester, location) == 0.0
+        assert routes.n_detours() == 0
 
     def test_reversed_hop(self, star_routes):
         hop = star_routes.route(0, 2)[0]
